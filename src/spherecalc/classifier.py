@@ -38,7 +38,6 @@ EXISTS_NO = "No"
 EXISTS_BY_DEFINITION = "YesByDefinition"
 
 UNIQUE_ISOTOPY = "UniqueIsotopy"
-UNIQUE_EQUIVALENCE = "UniqueEquivalence"
 DETERMINED_BY_FORM = "DeterminedByForm"
 UNKNOWN = "Unknown"
 

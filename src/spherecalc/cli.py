@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 from . import __version__, classifier, hermitian, intlattice
 from .classifier import FourManifold, SphereClassReport
-from .errors import ParseError, SpherecalcError
+from .errors import InvalidForm, ParseError, SpherecalcError
 from .groupring import CyclicRing, LaurentRing, Ring
 from .intlattice import E8_MATRIX, H_MATRIX, Matrix, block_diag, freeze_matrix
 
@@ -187,11 +187,10 @@ def parse_ring(text: str) -> Ring:
     s = text.strip()
     if s in ("laurent", "Z"):
         return LaurentRing()
-    m = re.match(r"^Z(\d+)$", s)
+    m = re.match(r"^(?:Z|cyclic:)(\d+)$", s)
     if m:
-        return CyclicRing(int(m.group(1)))
-    m = re.match(r"^cyclic:(\d+)$", s)
-    if m:
+        if int(m.group(1)) < 1:
+            raise ParseError(f"cyclic ring order must be positive, got {text!r}")
         return CyclicRing(int(m.group(1)))
     raise ParseError(
         f"unknown ring {text!r}: use 'laurent' (or 'Z') or 'Z<d>' such as 'Z2'"
@@ -208,7 +207,10 @@ def _parse_manifold_component(text: str) -> Matrix:
     m = _DIAG_RE.match(s)
     if m:
         body = m.group(1).strip()
-        entries = [int(v.strip()) for v in body.split(",")] if body else []
+        try:
+            entries = [int(v) for v in body.split(",")] if body else []
+        except ValueError as exc:
+            raise ParseError(f"diag entries must be integers in {text!r}") from exc
         return tuple(
             tuple(entries[i] if i == j else 0 for j in range(len(entries)))
             for i in range(len(entries))
@@ -229,7 +231,11 @@ class ManifoldSpec:
     ks: int = 0
 
     def manifold(self) -> FourManifold:
-        return FourManifold(intlattice.IntersectionForm(self.matrix), self.ks)
+        try:
+            form = intlattice.IntersectionForm(self.matrix)
+        except ValueError as exc:
+            raise InvalidForm(f"manifold {self.name!r}: {exc}") from exc
+        return FourManifold(form, self.ks)
 
     def connected_sum(self, other: "ManifoldSpec") -> "ManifoldSpec":
         # ks is additive mod 2 under connected sum.
@@ -397,6 +403,7 @@ def cmd_form(args) -> int:
         payload = {"status": outcome.status, "reason": outcome.reason}
         if outcome.witness is not None:
             payload["witness"] = [[str(v) for v in row] for row in outcome.witness]
+        payload["nodes_explored"] = outcome.nodes_explored
         _print_json(payload)
         return 0
     if args.form_command == "extend":

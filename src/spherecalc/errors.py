@@ -13,6 +13,10 @@ class RingMismatch(SpherecalcError):
     """Operands live over different coefficient rings."""
 
 
+class InvalidForm(SpherecalcError):
+    """A matrix given as an intersection form is not symmetric and unimodular."""
+
+
 class NotFreeBasis(SpherecalcError):
     """The supplied orbit representatives do not span freely."""
 
@@ -41,3 +45,7 @@ class ParseError(SpherecalcError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+class WitnessVerificationFailed(SpherecalcError):
+    """Internal consistency failure: a witness failed its exact re-verification."""

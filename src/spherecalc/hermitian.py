@@ -5,7 +5,15 @@ integer forms, nonsingularity, pointed classes, and a bounded congruence
 search with sound invariant refutations.  A witness P reported by the
 search always satisfies ``P * A0 * conj(P)^T == A1`` exactly and is
 invertible over the ring; witnesses are re-verified before being
-returned.
+returned, and a witness that fails raises instead.
+
+The search is a breadth-first walk over products P of monomial scalings,
+swaps and monomial transvections, run on the packed payloads of the
+ring elements.  Each state carries (P, B, v) with B = P A0 P* and
+v = P z0.  A state's B and v are derived from its parent's when the
+state is popped, by updating one row and one column, so the goal test
+B == A1 (and v == z1 when pointed) needs no matrix product.  States are
+deduplicated on P.
 """
 
 from __future__ import annotations
@@ -16,10 +24,16 @@ from functools import cached_property
 from math import gcd
 
 from . import intlattice
-from .errors import DimensionMismatch, NotFreeBasis, RingMismatch
+from .errors import (
+    DimensionMismatch,
+    NotFreeBasis,
+    RingMismatch,
+    WitnessVerificationFailed,
+)
 from .groupring import (
     CyclicRing,
     GroupRingElem,
+    LaurentElem,
     LaurentRing,
     Ring,
     element_from_json,
@@ -405,17 +419,222 @@ def _apply_generator(gen, p):
     )
 
 
-def _within_limits(p, coeff_limit: int, exp_limit: int) -> bool:
-    for row in p:
-        for v in row:
-            if hasattr(v, "coeffs"):
-                if any(abs(c) > coeff_limit for c in v.coeffs):
+# ---------------------------------------------------------------------------
+# packed payloads
+#
+# The search runs on the raw payloads of ring elements instead of on the
+# elements: ``GroupRingElem.coeffs`` (a dense length-d tuple) and
+# ``LaurentElem.terms`` (sorted (exponent, coefficient) pairs, no zeros).
+# Both are canonical, so payload equality is element equality.  A monomial
+# c * T^k travels as the pair (k, c).  Every generator is a monomial move,
+# so "monomial * payload" and "payload + payload" are the only products
+# the search needs.
+
+_SCALE, _SWAP, _ADD = "scale", "swap", "add"
+
+
+class _Payloads:
+    """Matrix packing and single-entry products shared by both payload kinds."""
+
+    def pack_matrix(self, rows) -> tuple:
+        return tuple(tuple(self.pack(x) for x in row) for row in rows)
+
+    def unpack_matrix(self, p) -> tuple:
+        return tuple(tuple(self.unpack(x) for x in row) for row in p)
+
+    def mono_mul(self, w, x):
+        return self.scale_row(w, (x,))[0]
+
+
+class _CyclicPayloads(_Payloads):
+    """Z[Z_d]: dense length-d coefficient tuples."""
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def pack(self, value) -> tuple:
+        return value.coeffs
+
+    def unpack(self, x):
+        return GroupRingElem(self.d, x)
+
+    def monomial(self, value) -> tuple[int, int]:
+        k = next(k for k, c in enumerate(value.coeffs) if c)
+        return k, value.coeffs[k]
+
+    def scale_row(self, w, row):
+        k, c = w
+        s = self.d - k  # c * T^k moves the coefficient of T^i to T^(i+k)
+        if c == 1:
+            return tuple([x[s:] + x[:s] for x in row])
+        return tuple([tuple([c * a for a in x[s:] + x[:s]]) for x in row])
+
+    @staticmethod
+    def add(x, y):
+        return tuple(map(int.__add__, x, y))
+
+    @staticmethod
+    def add_rows(r1, r2):
+        return tuple([tuple(map(int.__add__, x, y)) for x, y in zip(r1, r2)])
+
+    @staticmethod
+    def conj(x):
+        return x[:1] + x[:0:-1]
+
+    @staticmethod
+    def row_ok(row, coeff_limit: int, exp_limit: int) -> bool:
+        for x in row:
+            for c in x:
+                if c > coeff_limit or c < -coeff_limit:
                     return False
-            else:
-                for e, c in v.terms:
-                    if abs(c) > coeff_limit or abs(e) > exp_limit:
-                        return False
-    return True
+        return True
+
+
+class _LaurentPayloads(_Payloads):
+    """Z[t, t^-1]: sorted (exponent, coefficient) pairs without zeros."""
+
+    @staticmethod
+    def pack(value) -> tuple:
+        return value.terms
+
+    @staticmethod
+    def unpack(x):
+        return LaurentElem(x)
+
+    @staticmethod
+    def monomial(value) -> tuple[int, int]:
+        return value.terms[0]
+
+    @staticmethod
+    def scale_row(w, row):
+        k, c = w
+        if c == 1:
+            return tuple([tuple([(e + k, a) for e, a in x]) for x in row])
+        return tuple([tuple([(e + k, c * a) for e, a in x]) for x in row])
+
+    @staticmethod
+    def add(x, y):
+        if not x:
+            return y
+        if not y:
+            return x
+        acc = dict(x)
+        for e, a in y:
+            acc[e] = acc.get(e, 0) + a
+        return tuple(sorted([t for t in acc.items() if t[1]]))
+
+    def add_rows(self, r1, r2):
+        add = self.add
+        return tuple([add(x, y) if x and y else x or y for x, y in zip(r1, r2)])
+
+    @staticmethod
+    def conj(x):
+        return tuple([(-e, a) for e, a in reversed(x)])
+
+    @staticmethod
+    def row_ok(row, coeff_limit: int, exp_limit: int) -> bool:
+        for x in row:
+            for e, c in x:
+                if c > coeff_limit or c < -coeff_limit or e > exp_limit or e < -exp_limit:
+                    return False
+        return True
+
+
+def _payloads(ring: Ring):
+    if isinstance(ring, CyclicRing):
+        return _CyclicPayloads(ring.d)
+    return _LaurentPayloads()
+
+
+def _pack_generators(ring: Ring, m: int, ops):
+    """``_generators`` in packed form, in the same order.
+
+    A transvection row_i += w * row_j carries the slot of the scaled row
+    w * row_j; a scaling by u shares the slot of (row_i, u), so each node
+    scales each row by each monomial at most once.
+    """
+    slots: dict = {}
+    packed = []
+    for gen in _generators(ring, m):
+        if gen[0] == _SWAP:
+            packed.append(gen)
+            continue
+        if gen[0] == _SCALE:
+            _, i, u = gen
+            w, row = ops.monomial(u), i
+        else:
+            _, i, row, u = gen
+            w = ops.monomial(u)
+        slot = slots.setdefault((row, w), len(slots))
+        packed.append((gen[0], i, row, w, slot))
+    return packed, len(slots)
+
+
+def _child_form(gen, b, v, ops):
+    """(E B E*, E v) for the elementary matrix E of a packed generator.
+
+    Scaling row i by u changes row i and column i of B and keeps B_ii,
+    since u * conj(u) = 1; a swap permutes B; a transvection
+    row_i += w * row_j changes row i and column i.  Columns follow from
+    rows because B stays hermitian.
+    """
+    kind, i = gen[0], gen[1]
+    m = len(b)
+    if kind == _SWAP:
+        j = gen[2]
+        perm = list(range(m))
+        perm[i], perm[j] = j, i
+        b = tuple(tuple(b[r][s] for s in perm) for r in perm)
+        if v is not None:
+            v = tuple(v[r] for r in perm)
+        return b, v
+    mono_mul, add, conj = ops.mono_mul, ops.add, ops.conj
+    _, i, j, w, _ = gen
+    if kind == _SCALE:
+        row = list(ops.scale_row(w, b[i]))
+        row[i] = b[i][i]
+        if v is not None:
+            v = v[:i] + (mono_mul(w, v[i]),) + v[i + 1:]
+    else:
+        wb = ops.scale_row(w, b[j])
+        row = list(ops.add_rows(b[i], wb))
+        # B'_ii = B_ii + w B_ji + conj(w B_ji) + w conj(w) B_jj
+        c = w[1]
+        row[i] = add(add(row[i], conj(wb[i])), mono_mul((0, c * c), b[j][j]))
+        if v is not None:
+            v = v[:i] + (add(v[i], mono_mul(w, v[j])),) + v[i + 1:]
+    row = tuple(row)
+    b = tuple(
+        row if r == i else b[r][:i] + (conj(row[r]),) + b[r][i + 1:] for r in range(m)
+    )
+    return b, v
+
+
+def _expand(p, gens, n_slots: int, ops, coeff_limit: int, exp_limit: int):
+    """Yield (generator, E P) for each packed generator whose child keeps
+    within the growth limits, in generator order.
+
+    P is within the limits and a child differs from it in one row at
+    most, so only that row is checked.
+    """
+    scale_row, add_rows, row_ok = ops.scale_row, ops.add_rows, ops.row_ok
+    scaled = [None] * n_slots
+    for gen in gens:
+        kind, i = gen[0], gen[1]
+        if kind == _SWAP:
+            j = gen[2]
+            rows = list(p)
+            rows[i], rows[j] = rows[j], rows[i]
+            yield gen, tuple(rows)
+            continue
+        slot = gen[4]
+        row = scaled[slot]
+        if row is None:
+            row = scaled[slot] = scale_row(gen[3], p[gen[2]])
+        if kind == _ADD:
+            row = add_rows(p[i], row)
+        if row_ok(row, coeff_limit, exp_limit):
+            yield gen, p[:i] + (row,) + p[i + 1:]
 
 
 def _congruence_bfs(
@@ -426,12 +645,30 @@ def _congruence_bfs(
     exp_limit: int,
     point=None,
 ) -> CongruenceOutcome:
+    """Breadth-first search over products of the generators.
+
+    A node is a packed matrix P; the queue holds P with its parent's
+    (B, v) = (P' A0 P'*, P' z0) and the generator that made P, and the
+    node's own (B, v) is derived when it is popped, so children that are
+    never popped cost one row each.  The goal test is B == A1 (and
+    v == z1 when pointed).  Children are deduplicated on P, whose
+    payloads are canonical.
+    """
     ring = form0.ring
     m = form0.size
-    a0, a1 = form0.matrix, form1.matrix
-    gens = _generators(ring, m)
-    start = ring_identity(ring, m)
-    queue = deque([start])
+    ops = _payloads(ring)
+    gens, n_slots = _pack_generators(ring, m, ops)
+    start = ops.pack_matrix(ring_identity(ring, m))
+    a1 = ops.pack_matrix(form1.matrix)
+    b0 = ops.pack_matrix(form0.matrix)
+    v0 = z1 = None
+    if point is not None:
+        v0, z1 = ops.pack_matrix(point)
+    if not all(ops.row_ok(row, coeff_limit, exp_limit) for row in start):
+        # Every child of the identity has an entry +-T^k, which breaks
+        # the limits whenever the identity does: only the start is explored.
+        gens = []
+    queue = deque([(start, b0, v0, None)])
     seen = {start}
     nodes = 0
     while queue:
@@ -439,25 +676,36 @@ def _congruence_bfs(
             return CongruenceOutcome(
                 SEARCH_NOT_FOUND, reason="node budget exhausted", nodes_explored=nodes
             )
-        p = queue.popleft()
+        p, b, v, made_by = queue.popleft()
         nodes += 1
-        if point is None or ring_mat_vec(p, point[0], ring) == point[1]:
-            if ring_mat_mul(ring_mat_mul(p, a0, ring), conj_transpose(p), ring) == a1:
-                assert verify_congruence(p, form0, form1)
-                return CongruenceOutcome(SEARCH_FOUND, witness=p, nodes_explored=nodes)
-        for gen in gens:
-            child = _apply_generator(gen, p)
-            if child in seen:
-                continue
-            if not _within_limits(child, coeff_limit, exp_limit):
-                continue
+        if made_by is not None:
+            b, v = _child_form(made_by, b, v, ops)
+        if b == a1 and v == z1:
+            return CongruenceOutcome(
+                SEARCH_FOUND,
+                witness=_verified_witness(p, ops, form0, form1, point),
+                nodes_explored=nodes,
+            )
+        for gen, child in _expand(p, gens, n_slots, ops, coeff_limit, exp_limit):
+            size = len(seen)
             seen.add(child)
-            queue.append(child)
+            if len(seen) != size:
+                queue.append((child, b, v, gen))
     return CongruenceOutcome(
         SEARCH_NOT_FOUND,
         reason="generator orbit exhausted within the entry-growth limits",
         nodes_explored=nodes,
     )
+
+
+def _verified_witness(p, ops, form0: HermitianForm, form1: HermitianForm, point):
+    """Unpack a packed witness and re-verify it exactly; raise if it fails."""
+    witness = ops.unpack_matrix(p)
+    if not verify_congruence(witness, form0, form1):
+        raise WitnessVerificationFailed("search witness fails P A0 conj(P)^T == A1")
+    if point is not None and ring_mat_vec(witness, point[0], form0.ring) != point[1]:
+        raise WitnessVerificationFailed("search witness fails P z0 == z1")
+    return witness
 
 
 def _check_compatible(form0: HermitianForm, form1: HermitianForm) -> None:
@@ -467,6 +715,39 @@ def _check_compatible(form0: HermitianForm, form1: HermitianForm) -> None:
         raise DimensionMismatch(
             f"forms have different sizes: {form0.size} vs {form1.size}"
         )
+
+
+def _divisibility_refutation(
+    pointed0: PointedHermitianForm, pointed1: PointedHermitianForm
+) -> str | None:
+    """Compare the augmented divisibilities of the points; None when equal."""
+    g0 = pointed0.augmented_divisibility
+    g1 = pointed1.augmented_divisibility
+    if g0 != g1:
+        return (
+            "pointed classes have different divisibility after augmentation: "
+            f"{g0} vs {g1} (a primitive class must map to a primitive class)"
+        )
+    return None
+
+
+def _search(form0, form1, budget, coeff_limit, exp_limit, pointed=None):
+    """Refute, then search: the one path behind both public searches.
+
+    Refutations run in a fixed order and the first that fires decides:
+    pointed divisibility (pointed searches only), the augmented integer
+    forms, then the determinant class.
+    """
+    _check_compatible(form0, form1)
+    reason = (
+        (pointed is not None and _divisibility_refutation(*pointed))
+        or _augmentation_refutation(form0, form1)
+        or _determinant_refutation(form0, form1)
+    )
+    if reason:
+        return CongruenceOutcome(SEARCH_DISPROVEN, reason=reason)
+    point = None if pointed is None else (pointed[0].z, pointed[1].z)
+    return _congruence_bfs(form0, form1, budget, coeff_limit, exp_limit, point)
 
 
 def congruence_search(
@@ -484,12 +765,7 @@ def congruence_search(
     breadth-first search over products of monomial scalings, swaps and
     bounded transvections.  Deterministic for a fixed budget.
     """
-    _check_compatible(form0, form1)
-    for refute in (_augmentation_refutation, _determinant_refutation):
-        reason = refute(form0, form1)
-        if reason is not None:
-            return CongruenceOutcome(SEARCH_DISPROVEN, reason=reason)
-    return _congruence_bfs(form0, form1, budget, coeff_limit, exp_limit)
+    return _search(form0, form1, budget, coeff_limit, exp_limit)
 
 
 def pointed_congruence_search(
@@ -506,22 +782,6 @@ def pointed_congruence_search(
     augmentation vector, so pointed pairs whose augmented divisibilities
     differ are disproven outright.
     """
-    form0, form1 = pointed0.form, pointed1.form
-    _check_compatible(form0, form1)
-    g0 = pointed0.augmented_divisibility
-    g1 = pointed1.augmented_divisibility
-    if g0 != g1:
-        return CongruenceOutcome(
-            SEARCH_DISPROVEN,
-            reason=(
-                "pointed classes have different divisibility after augmentation: "
-                f"{g0} vs {g1} (a primitive class must map to a primitive class)"
-            ),
-        )
-    for refute in (_augmentation_refutation, _determinant_refutation):
-        reason = refute(form0, form1)
-        if reason is not None:
-            return CongruenceOutcome(SEARCH_DISPROVEN, reason=reason)
-    return _congruence_bfs(
-        form0, form1, budget, coeff_limit, exp_limit, point=(pointed0.z, pointed1.z)
+    return _search(
+        pointed0.form, pointed1.form, budget, coeff_limit, exp_limit, (pointed0, pointed1)
     )

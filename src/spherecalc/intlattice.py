@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, WitnessVerificationFailed
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -405,7 +405,8 @@ def is_isometric(
             f1.matrix, f2.matrix, coeff_bound, budget
         )
         if witness is not None:
-            assert mat_mul(mat_mul(transpose(witness), f1.matrix), witness) == f2.matrix
+            if mat_mul(mat_mul(transpose(witness), f1.matrix), witness) != f2.matrix:
+                raise WitnessVerificationFailed("isometry witness fails P^T Q1 P == Q2")
             return IsometryResult(ISO_YES, witness=witness, invariants=pair)
         reason = (
             "definite search exhausted its coefficient bound without a witness"

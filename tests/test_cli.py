@@ -240,6 +240,22 @@ def test_form_congruent_found_witness(capsys):
     assert data["witness"] == [["t", "0"], ["0", "1"]]
 
 
+def test_form_congruent_reports_nodes_explored(capsys):
+    code, out, _ = run(
+        capsys,
+        "form", "congruent", "--ring", "laurent",
+        "--a", "[[0,1],[1,0]]", "--b", "[[0, t],[t^-1, 0]]",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == ["status", "reason", "witness", "nodes_explored"]
+    assert data["nodes_explored"] == 7
+    _, out, _ = run(
+        capsys, "form", "congruent", "--ring", "Z2", "--a", "[[1]]", "--b", "[[T]]"
+    )
+    assert json.loads(out)["nodes_explored"] == 0
+
+
 def test_form_congruent_budget_exhaustion_exits_zero(capsys):
     code, out, _ = run(
         capsys,
@@ -293,6 +309,33 @@ def test_form_ring_mismatch_is_parse_error(capsys):
     )
     assert code == 2
     assert "ring" in err
+
+
+@pytest.mark.parametrize("ring", ["Z0", "cyclic:0"])
+def test_zero_cyclic_order_is_parse_error(capsys, ring):
+    code, _, err = run(capsys, "form", "augment", "--ring", ring, "--a", "[[1]]")
+    assert code == 2
+    assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "manifold, reason",
+    [
+        ("[[2,0],[0,2]]", "unimodular"),
+        ("[[1,1],[0,1]]", "symmetric"),
+        ("[[1,2],[2,1]]", "unimodular"),
+    ],
+)
+def test_invalid_manifold_form_is_input_error(capsys, manifold, reason):
+    code, _, err = run(capsys, "classify", "--manifold", manifold, "--class", "[1,0]")
+    assert code == 1
+    assert reason in err
+
+
+def test_empty_diag_entry_is_parse_error(capsys):
+    code, _, err = run(capsys, "classify", "--manifold", "diag(1,,2)", "--class", "[1,0]")
+    assert code == 2
+    assert "diag" in err
 
 
 def test_catalog_rejects_unknown_schema():

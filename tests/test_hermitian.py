@@ -4,7 +4,12 @@ import random
 import pytest
 
 from spherecalc import hermitian, intlattice
-from spherecalc.errors import DimensionMismatch, NotFreeBasis, RingMismatch
+from spherecalc.errors import (
+    DimensionMismatch,
+    NotFreeBasis,
+    RingMismatch,
+    WitnessVerificationFailed,
+)
 from spherecalc.groupring import CyclicRing, GroupRingElem, LaurentElem, LaurentRing
 from spherecalc.hermitian import (
     EquivariantIntegerForm,
@@ -21,6 +26,7 @@ from spherecalc.hermitian import (
     ring_det,
     ring_identity,
     ring_mat_mul,
+    ring_mat_vec,
     verify_congruence,
 )
 from spherecalc.intlattice import H_MATRIX, block_diag
@@ -293,6 +299,8 @@ def test_search_monomial_twist_of_two_hyperbolics():
     out = congruence_search(form, target, budget=50_000)
     assert out.status == hermitian.SEARCH_FOUND
     assert verify_congruence(out.witness, form, target)
+    assert out.witness == p  # diag(t, 1, t^-1, 1)
+    assert out.nodes_explored == 1666
 
 
 def test_search_budget_exhaustion_is_reported():
@@ -326,6 +334,7 @@ def test_search_orbit_exhaustion_without_determinant_refutation():
     out = congruence_search(lam0, lam1)
     assert out.status == hermitian.SEARCH_NOT_FOUND
     assert "orbit exhausted" in out.reason
+    assert out.nodes_explored == 10
 
 
 def test_search_disproven_by_augmentation_matches_integer_isometry():
@@ -400,6 +409,120 @@ def test_search_finds_depth_three_witness():
     assert verify_congruence(out.witness, form0, form1)
 
 
+def test_search_raises_when_the_witness_fails_verification(monkeypatch):
+    # never bluff, also under ``python -O``: a rejected witness raises
+    monkeypatch.setattr(hermitian, "verify_congruence", lambda *args: False)
+    form = extend_integer_form(H_MATRIX, L)
+    with pytest.raises(WitnessVerificationFailed):
+        congruence_search(form, form)
+
+
+def test_search_limits_below_the_identity_explore_only_the_start():
+    form = extend_integer_form(H_MATRIX, L)
+    twisted = HermitianForm(
+        L,
+        (
+            (LaurentElem.zero(), LaurentElem.monomial(1)),
+            (LaurentElem.monomial(-1), LaurentElem.zero()),
+        ),
+    )
+    for limits in ({"coeff_limit": 0}, {"exp_limit": -1}):
+        out = congruence_search(form, twisted, **limits)
+        assert out.status == hermitian.SEARCH_NOT_FOUND
+        assert out.nodes_explored == 1
+
+
+# ---------------------------------------------------------------------------
+# the packed search kernel against element arithmetic
+
+KERNEL_RINGS = [CyclicRing(2), CyclicRing(3), CyclicRing(4), CyclicRing(5), L]
+
+
+def _random_element(rng, ring):
+    if isinstance(ring, CyclicRing):
+        return GroupRingElem(ring.d, tuple(rng.randint(-2, 2) for _ in range(ring.d)))
+    return laurent({rng.randint(-3, 3): rng.randint(-2, 2) for _ in range(rng.randint(0, 3))})
+
+
+def _random_hermitian(rng, ring, m):
+    rows = [[ring.zero()] * m for _ in range(m)]
+    for i in range(m):
+        x = _random_element(rng, ring)
+        rows[i][i] = x + x.conjugate()
+        for j in range(i + 1, m):
+            rows[i][j] = _random_element(rng, ring)
+            rows[j][i] = rows[i][j].conjugate()
+    return tuple(map(tuple, rows))
+
+
+def _within_limits(p, coeff_limit, exp_limit):
+    """Whole-matrix growth check on elements, the reference for the kernel."""
+    for row in p:
+        for v in row:
+            if isinstance(v, GroupRingElem):
+                if any(abs(c) > coeff_limit for c in v.coeffs):
+                    return False
+            elif any(abs(c) > coeff_limit or abs(e) > exp_limit for e, c in v.terms):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_packed_arithmetic_matches_elements(ring):
+    rng = random.Random(f"payloads:{ring}")
+    ops = hermitian._payloads(ring)
+    gens = hermitian._generators(ring, 2)
+    monomials = [g[2] for g in gens if g[0] == "scale"] + [g[3] for g in gens if g[0] == "add"]
+    for _ in range(200):
+        x, y = _random_element(rng, ring), _random_element(rng, ring)
+        if rng.random() < 0.2:
+            y = -x  # cancellation to zero
+        u = rng.choice(monomials)
+        w = ops.monomial(u)
+        px, py = ops.pack(x), ops.pack(y)
+        assert ops.unpack(px) == x
+        assert ops.add(px, py) == ops.pack(x + y)
+        assert ops.mono_mul(w, px) == ops.pack(u * x)
+        assert ops.conj(px) == ops.pack(x.conjugate())
+        assert ops.scale_row(w, (px, py)) == (ops.pack(u * x), ops.pack(u * y))
+        assert ops.add_rows((px, py), (py, px)) == (ops.pack(x + y), ops.pack(y + x))
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_packed_kernel_tracks_element_products_along_random_paths(ring):
+    rng = random.Random(f"kernel:{ring}")
+    ops = hermitian._payloads(ring)
+    coeff_limit, exp_limit = hermitian.DEFAULT_COEFF_LIMIT, hermitian.DEFAULT_EXP_LIMIT
+    for m in range(1, 5):
+        elem_gens = hermitian._generators(ring, m)
+        gens, n_slots = hermitian._pack_generators(ring, m, ops)
+        assert len(gens) == len(elem_gens)
+        for _ in range(3):
+            a0 = _random_hermitian(rng, ring, m)
+            z0 = tuple(_random_element(rng, ring) for _ in range(m))
+            p = ring_identity(ring, m)
+            b, v = ops.pack_matrix(a0), ops.pack_matrix((z0,))[0]
+            for _ in range(6):
+                children = list(
+                    hermitian._expand(
+                        ops.pack_matrix(p), gens, n_slots, ops, coeff_limit, exp_limit
+                    )
+                )
+                expected = []
+                for packed, gen in zip(gens, elem_gens):
+                    child = hermitian._apply_generator(gen, p)
+                    if _within_limits(child, coeff_limit, exp_limit):
+                        expected.append((packed, ops.pack_matrix(child)))
+                assert children == expected
+                gen, child = rng.choice(children)
+                p = hermitian._apply_generator(elem_gens[gens.index(gen)], p)
+                b, v = hermitian._child_form(gen, b, v, ops)
+                assert ops.unpack_matrix(b) == ring_mat_mul(
+                    ring_mat_mul(p, a0, ring), conj_transpose(p), ring
+                )
+                assert ops.unpack_matrix((v,))[0] == ring_mat_vec(p, z0, ring)
+
+
 # ---------------------------------------------------------------------------
 # pointed searches
 
@@ -471,6 +594,7 @@ def test_pointed_nonunit_class_is_honestly_not_found():
     assert p1.primitive
     out = pointed_congruence_search(p0, p1)
     assert out.status == hermitian.SEARCH_NOT_FOUND
+    assert out.nodes_explored == 4
 
 
 def test_pointed_constraint_filters_witnesses():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from spherecalc import intlattice
-from spherecalc.errors import DimensionMismatch
+from spherecalc.errors import DimensionMismatch, WitnessVerificationFailed
 from spherecalc.intlattice import (
     E8_MATRIX,
     H_MATRIX,
@@ -245,6 +245,17 @@ def test_isometry_definite_search_finds_witness():
     assert res.verdict == intlattice.ISO_YES
     p = res.witness
     assert mat_mul(mat_mul(transpose(p), base), p) == q2
+
+
+def test_isometry_raises_on_a_witness_that_fails_its_check(monkeypatch):
+    # a bad witness must raise, also under ``python -O``
+    base = ((1, 0), (0, 1))
+    q2 = ((1, 1), (1, 2))
+    monkeypatch.setattr(
+        intlattice, "_definite_witness_search", lambda *args: (base, False)
+    )
+    with pytest.raises(WitnessVerificationFailed):
+        is_isometric(base, q2)
 
 
 def test_isometry_definite_can_come_back_undecided():
