@@ -51,21 +51,21 @@ def resolve_budget(cli_value: int | None) -> int:
 # literal parsing
 
 
-def parse_int_matrix(text: str) -> Matrix:
-    """Strict JSON array-of-arrays of integers."""
+def parse_int_matrix(text: str, what: str = "matrix", square: bool = True) -> Matrix:
+    """Strict JSON array-of-arrays of integers; ``what`` names it in errors."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON matrix: {exc.msg}", position=exc.pos) from exc
+        raise ParseError(f"invalid JSON {what}: {exc.msg}", position=exc.pos) from exc
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise ParseError("matrix literal must be a JSON array of arrays")
+        raise ParseError(f"{what} literal must be a JSON array of arrays")
     for row in data:
-        if len(row) != len(data):
-            raise ParseError("matrix literal must be square")
+        if square and len(row) != len(data):
+            raise ParseError(f"{what} literal must be square")
         for v in row:
             if not isinstance(v, int) or isinstance(v, bool):
-                raise ParseError(f"matrix entries must be integers, got {v!r}")
-    return freeze_matrix(data)
+                raise ParseError(f"{what} entries must be integers, got {v!r}")
+    return tuple(tuple(row) for row in data)
 
 
 def parse_int_vector(text: str) -> tuple[int, ...]:
@@ -237,14 +237,6 @@ class ManifoldSpec:
             raise InvalidForm(f"manifold {self.name!r}: {exc}") from exc
         return FourManifold(form, self.ks)
 
-    def connected_sum(self, other: "ManifoldSpec") -> "ManifoldSpec":
-        # ks is additive mod 2 under connected sum.
-        return ManifoldSpec(
-            name=f"{self.name}#{other.name}",
-            matrix=block_diag(self.matrix, other.matrix),
-            ks=(self.ks + other.ks) % 2,
-        )
-
     def to_json_dict(self) -> dict:
         return {"name": self.name, "matrix": [list(r) for r in self.matrix], "ks": self.ks}
 
@@ -386,6 +378,13 @@ def _form_payload(form: hermitian.HermitianForm) -> dict:
 
 
 def cmd_form(args) -> int:
+    if args.form_command == "build-equivariant":
+        equiv = hermitian.EquivariantIntegerForm(
+            parse_int_matrix(args.q), parse_int_matrix(args.t)
+        )
+        basis = parse_int_matrix(args.basis, "basis", square=False)
+        _print_json(_form_payload(hermitian.build_equivariant_form(equiv, basis)))
+        return 0
     ring = parse_ring(args.ring)
     if args.form_command == "augment":
         form = parse_form_matrix(args.a, ring)
@@ -406,19 +405,8 @@ def cmd_form(args) -> int:
         payload["nodes_explored"] = outcome.nodes_explored
         _print_json(payload)
         return 0
-    if args.form_command == "extend":
-        matrix = parse_int_matrix(args.a)
-        _print_json(_form_payload(hermitian.extend_integer_form(matrix, ring)))
-        return 0
-    # build-equivariant ignores --ring: the cyclic order comes from the action.
-    equiv = hermitian.EquivariantIntegerForm(
-        parse_int_matrix(args.q), parse_int_matrix(args.t)
-    )
-    basis_data = json.loads(args.basis)
-    if not isinstance(basis_data, list) or not all(isinstance(b, list) for b in basis_data):
-        raise ParseError("--basis must be a JSON array of integer vectors")
-    form = hermitian.build_equivariant_form(equiv, basis_data)
-    _print_json(_form_payload(form))
+    matrix = parse_int_matrix(args.a)
+    _print_json(_form_payload(hermitian.extend_integer_form(matrix, ring)))
     return 0
 
 
@@ -468,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = form_sub.add_parser(
         "build-equivariant", help="hermitian form from equivariant integer data"
     )
-    p_build.add_argument("--ring", default="Z1", help="ignored; the order comes from --t")
     p_build.add_argument("--q", required=True, help="JSON symmetric integer matrix")
     p_build.add_argument("--t", required=True, help="JSON integer matrix of finite order")
     p_build.add_argument("--basis", required=True, help="JSON list of orbit representatives")

@@ -13,8 +13,13 @@ class RingMismatch(SpherecalcError):
     """Operands live over different coefficient rings."""
 
 
-class InvalidForm(SpherecalcError):
-    """A matrix given as an intersection form is not symmetric and unimodular."""
+class InvalidForm(SpherecalcError, ValueError):
+    """A matrix given as a form lacks a required property.
+
+    Raised for an intersection form that is not symmetric and unimodular,
+    a ring matrix that is not hermitian, and equivariant data whose action
+    does not preserve the form or has no finite order.
+    """
 
 
 class NotFreeBasis(SpherecalcError):

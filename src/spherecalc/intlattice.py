@@ -2,20 +2,19 @@
 
 Matrices are tuples of tuples of Python ints, rational intermediate work
 happens in :class:`fractions.Fraction`, and no floating point appears
-anywhere.  Invariants (rank, signature, parity) decide isometry exactly in
-the indefinite case; definite comparisons fall back to a bounded search
-over integer congruences and report ``undecided`` when the search gives
-out.
+anywhere.  Invariants (rank, signature, parity) decide isometry exactly
+for indefinite forms and for definite forms of rank at most 8, where the
+classification leaves only Z^n and E8; definite forms of rank 9 or more
+are reported ``undecided``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionMismatch, WitnessVerificationFailed
+from .errors import DimensionMismatch
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -303,10 +302,6 @@ ISO_YES = "yes"
 ISO_NO = "no"
 ISO_UNDECIDED = "undecided"
 
-#: Default limits of the definite-case congruence search.
-DEFAULT_COEFF_BOUND = 4
-DEFAULT_SEARCH_BUDGET = 50_000
-
 
 @dataclass(frozen=True)
 class IsometryResult:
@@ -316,70 +311,17 @@ class IsometryResult:
     invariants: tuple[FormInvariants, FormInvariants] | None = None
 
 
-def _definite_witness_search(q1: Matrix, q2: Matrix, coeff_bound: int, budget: int):
-    """Breadth-first search for P with P^T Q1 P = Q2.
-
-    States are products of elementary generators (row additions, swaps,
-    sign flips) applied to the identity, pruned when any entry exceeds
-    ``coeff_bound`` in absolute value.  Returns (witness, exhausted).
-    """
-    n = len(q1)
-    start = identity_matrix(n)
-    queue = deque([start])
-    seen = {start}
-    nodes = 0
-    while queue:
-        if nodes >= budget:
-            return None, False
-        p = queue.popleft()
-        nodes += 1
-        if mat_mul(mat_mul(transpose(p), q1), p) == q2:
-            return p, True
-        children = []
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for c in (1, -1):
-                    children.append(
-                        tuple(
-                            tuple(p[r][t] + c * p[j][t] for t in range(n)) if r == i else p[r]
-                            for r in range(n)
-                        )
-                    )
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows = list(p)
-                rows[i], rows[j] = rows[j], rows[i]
-                children.append(tuple(rows))
-        for i in range(n):
-            children.append(
-                tuple(tuple(-v for v in p[r]) if r == i else p[r] for r in range(n))
-            )
-        for child in children:
-            if child in seen:
-                continue
-            if any(abs(v) > coeff_bound for row in child for v in row):
-                continue
-            seen.add(child)
-            queue.append(child)
-    return None, True
-
-
-def is_isometric(
-    q1,
-    q2,
-    *,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> IsometryResult:
+def is_isometric(q1, q2) -> IsometryResult:
     """Decide whether two unimodular symmetric forms are congruent over Z.
 
     Indefinite (and rank-0) forms are decided exactly by their rank,
-    signature and parity.  Definite forms of rank at most 8 are attempted
-    by a bounded witness search; anything it cannot settle comes back as
-    ``undecided`` with both invariant bundles attached.  A ``no`` verdict
-    always names the differing invariant.
+    signature and parity.  So are definite forms of rank at most 8: the
+    only definite unimodular lattices there are Z^n and, in rank 8, E8
+    (Milnor-Husemoller ch. II; Conway-Sloane ch. 16), and E8 is the even
+    one.  Definite forms of rank 9 or more come back ``undecided`` with
+    both invariant bundles attached, since equal invariants no longer
+    suffice there (Z^9 and E8 + <1>).  Only the identity is ever returned
+    as a witness.  A ``no`` verdict always names the differing invariant.
     """
     f1 = q1 if isinstance(q1, IntersectionForm) else IntersectionForm(q1)
     f2 = q2 if isinstance(q2, IntersectionForm) else IntersectionForm(q2)
@@ -401,19 +343,14 @@ def is_isometric(
             invariants=pair,
         )
     if inv1.rank <= 8:
-        witness, exhausted = _definite_witness_search(
-            f1.matrix, f2.matrix, coeff_bound, budget
+        lattice = "E8" if inv1.parity == PARITY_EVEN else f"Z^{inv1.rank}"
+        sign = "-" if inv1.definiteness == DEFINITE_NEGATIVE else ""
+        return IsometryResult(
+            ISO_YES,
+            reason="definite unimodular forms of rank <= 8 are classified by rank,"
+            f" signature and parity: both are {sign}{lattice}",
+            invariants=pair,
         )
-        if witness is not None:
-            if mat_mul(mat_mul(transpose(witness), f1.matrix), witness) != f2.matrix:
-                raise WitnessVerificationFailed("isometry witness fails P^T Q1 P == Q2")
-            return IsometryResult(ISO_YES, witness=witness, invariants=pair)
-        reason = (
-            "definite search exhausted its coefficient bound without a witness"
-            if exhausted
-            else "definite search exceeded its node budget"
-        )
-        return IsometryResult(ISO_UNDECIDED, reason=reason, invariants=pair)
     return IsometryResult(
         ISO_UNDECIDED,
         reason="definite forms of rank > 8 are outside the bounded search",

@@ -80,16 +80,6 @@ def test_parse_manifold_components():
         cli.parse_manifold_spec("H##H")
 
 
-def test_connected_sum_adds_ks_mod_2():
-    a = cli.ManifoldSpec("A", ((1,),), ks=1)
-    b = cli.ManifoldSpec("B", H_MATRIX, ks=1)
-    c = a.connected_sum(b)
-    assert c.matrix == block_diag(((1,),), H_MATRIX)
-    assert c.ks == 0
-    assert c.name == "A#B"
-    assert a.connected_sum(cli.ManifoldSpec("C", ((1,),), ks=0)).ks == 1
-
-
 # ---------------------------------------------------------------------------
 # classify command
 
@@ -329,6 +319,35 @@ def test_zero_cyclic_order_is_parse_error(capsys, ring):
 def test_invalid_manifold_form_is_input_error(capsys, manifold, reason):
     code, _, err = run(capsys, "classify", "--manifold", manifold, "--class", "[1,0]")
     assert code == 1
+    assert reason in err
+
+
+_SWAP = "[[0,1],[1,0]]"
+
+
+@pytest.mark.parametrize(
+    "argv, code, reason",
+    [
+        (["congruent", "--ring", "laurent", "--a", "[[0,t],[t,0]]", "--b", "[[1]]"], 1, "hermitian"),
+        (["congruent", "--ring", "Z2", "--a", "[[1]]", "--b", "[[1,1],[0,1]]"], 1, "hermitian"),
+        (["nonsingular", "--ring", "laurent", "--a", "[[t,1],[1,0]]"], 1, "hermitian"),
+        (["augment", "--ring", "Z3", "--a", "[[T]]"], 1, "hermitian"),
+        (["extend", "--ring", "Z2", "--a", "[[0,1],[2,0]]"], 1, "symmetric"),
+        (["build-equivariant", "--q", "[[0,1],[2,0]]", "--t", _SWAP, "--basis", "[[1,0]]"], 1, "symmetric"),
+        (["build-equivariant", "--q", "[[1,0],[0,2]]", "--t", _SWAP, "--basis", "[[1,0]]"], 1, "preserve"),
+        (["build-equivariant", "--q", _SWAP, "--t", _SWAP, "--basis", "[[1,0]"], 2, "basis"),
+        (["build-equivariant", "--q", _SWAP, "--t", _SWAP, "--basis", '[["a",0]]'], 2, "basis"),
+        (["build-equivariant", "--q", _SWAP, "--t", _SWAP, "--basis", "[1,0]"], 2, "basis"),
+    ],
+    ids=[
+        "congruent-a", "congruent-b", "nonsingular", "augment", "extend",
+        "equivariant-q", "equivariant-t", "basis-json", "basis-entry", "basis-flat",
+    ],
+)
+def test_form_input_errors_exit_without_traceback(capsys, argv, code, reason):
+    exit_code, _, err = run(capsys, "form", *argv)
+    assert exit_code == code
+    assert err.startswith("error:")
     assert reason in err
 
 

@@ -347,6 +347,25 @@ def test_search_disproven_by_augmentation_matches_integer_isometry():
     assert integer_verdict.verdict == intlattice.ISO_NO
 
 
+def test_definite_determinant_twist_is_refuted_without_integer_isometry(monkeypatch):
+    # like the benchmark's L.I3.definite-a: the augmentations are I3 and a
+    # changed basis of it, so only the determinant class refutes the pair,
+    # and the augmentation step never consults is_isometric
+    def no_isometry(*args):
+        raise AssertionError("is_isometric is not part of the refutations")
+
+    monkeypatch.setattr(intlattice, "is_isometric", no_isometry)
+    q = ((1, 0, -2), (0, 1, 0), (-2, 0, 5))  # P P^T, P = ((0,0,1),(0,1,0),(1,0,-2))
+    rows = [list(row) for row in extend_integer_form(q, L).matrix]
+    rows[0][0] = rows[0][0] + laurent({1: 1, -1: 1, 0: -2})  # augments to 0
+    form0 = extend_integer_form(intlattice.identity_matrix(3), L)
+    form1 = HermitianForm(L, tuple(map(tuple, rows)))
+    out = congruence_search(form0, form1)
+    assert out.status == hermitian.SEARCH_DISPROVEN
+    assert out.reason.startswith("determinant class mismatch")
+    assert out.nodes_explored == 0
+
+
 def test_search_ring_and_size_preconditions():
     with pytest.raises(RingMismatch):
         congruence_search(FORM_1, extend_integer_form([[1]], L))
