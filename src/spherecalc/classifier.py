@@ -13,17 +13,26 @@ Uniqueness verdicts come from three sufficient rules (divisibility one;
 rank > 6 with strict inequality in the bound; rank > |signature| + 2 with
 strict inequality); everything else is reported as unknown with a
 machine-readable citation tag.
+
+Every verdict is a function of b2, sigma, ks and three invariants of the
+class: its divisibility d, the square y.y of y = x/d, and whether x is
+characteristic.  One private function, ``_verdict``, holds all the rules;
+``classify`` and the single-rule functions compute the invariants of one
+class and read their answer off it.  ``walk_box`` yields the invariants of
+every class in a coordinate box by an odometer walk that costs O(1) per
+class in the innermost coordinate, and ``enumerate_representable`` builds
+its reports from that walk.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from . import hermitian, intlattice
 from .errors import (
-    DimensionMismatch,
     DivisibilityViolation,
     NotApplicable,
     NotCharacteristic,
@@ -153,43 +162,138 @@ def _class_of(x) -> HomologyClass:
 
 
 # ---------------------------------------------------------------------------
-# the two existence criteria
+# the verdict of a class from its invariants
+
+
+@dataclass(frozen=True)
+class _Verdict:
+    lw_bound: int | None
+    passes_ks: bool | None  # None for an ordinary class
+    exists: str
+    reasons: tuple[str, ...]
+    uniqueness: str
+    existence_citations: tuple[str, ...]
+    uniqueness_citations: tuple[str, ...]
+
+
+def _verdict(b2: int, sigma: int, ks: int, d: int, yy: int, characteristic: bool) -> _Verdict:
+    """Every existence and uniqueness rule, as a function of the invariants.
+
+    ``d`` is the divisibility, ``yy`` the square y.y of the primitive class
+    y with x = d*y (0 for the zero class), and ``characteristic`` whether x
+    is characteristic.
+
+    Rotation-number bound: max over 0 <= j < d of |sigma - 2j(d-j) (y.y)|.
+    The term is affine in j(d-j), so the max is attained at j = 0 or
+    j = d//2; evaluating those two endpoints keeps divisibilities of any
+    size exact without iterating.
+
+    ks condition: for a characteristic class (sigma - x.x) is divisible by
+    8 because the form is unimodular; that divisibility is asserted, and
+    ks = (sigma - x.x)/8 is read in Z/2 since ks is a Z/2 invariant.
+
+    Uniqueness: the three sufficient rules of the module docstring, with
+    the strict reading of the inequality; an equality case is unknown with
+    a citation tag, so a reader can see exactly why no verdict was issued.
+    """
+    passes_ks = None
+    if characteristic:
+        diff = sigma - d * d * yy
+        if diff % 8:
+            raise DivisibilityViolation(
+                f"signature - x.x = {diff} is not divisible by 8 for a characteristic class"
+            )
+        passes_ks = ks % 2 == (diff // 8) % 2
+    if d == 0:
+        uniqueness_citations = (CITE_DETERMINED_BY_FORM,)
+        if b2 >= sigma + 6:
+            uniqueness_citations += (CITE_AUTOMATIC_ISOMETRY,)
+        return _Verdict(
+            None, passes_ks, EXISTS_BY_DEFINITION, (), DETERMINED_BY_FORM,
+            (CITE_NULLHOMOLOGOUS,), uniqueness_citations,
+        )
+    peak = (d // 2) * (d - d // 2)
+    bound = max(abs(sigma), abs(sigma - 2 * peak * yy))
+    passes_bound = b2 >= bound
+    bound_reason = REASON_PASSES_LW if passes_bound else REASON_FAILS_LW
+    if characteristic:
+        reasons = (bound_reason, REASON_PASSES_KS if passes_ks else REASON_FAILS_KS)
+        existence_citations = (CITE_RANK_BOUND, CITE_CHARACTERISTIC_KS)
+        exists = passes_bound and passes_ks
+    else:
+        reasons = (bound_reason, REASON_ORDINARY)
+        existence_citations = (CITE_RANK_BOUND,)
+        exists = passes_bound
+    if not exists:
+        return _Verdict(bound, passes_ks, EXISTS_NO, reasons, UNKNOWN, existence_citations, ())
+    strict = b2 > bound
+    if d == 1:
+        uniqueness, tag = UNIQUE_ISOTOPY, CITE_DIV_ONE
+    elif b2 > 6 and strict:
+        uniqueness, tag = UNIQUE_ISOTOPY, CITE_RANK_GT_6
+    elif b2 > abs(sigma) + 2 and strict:
+        uniqueness, tag = UNIQUE_ISOTOPY, CITE_RANK_GT_SIGMA
+    else:
+        uniqueness = UNKNOWN
+        tag = CITE_OPEN_AT_EQUALITY if b2 == bound else CITE_NO_RULE
+    return _Verdict(bound, passes_ks, EXISTS_YES, reasons, uniqueness, existence_citations, (tag,))
+
+
+def _invariants(manifold: FourManifold, cls: HomologyClass) -> tuple[int, int, bool]:
+    """(divisibility, x.x, characteristic) of one class."""
+    return (
+        intlattice.divisibility(cls),
+        intlattice.self_intersection(manifold.form, cls),
+        intlattice.is_characteristic(manifold.form, cls),
+    )
+
+
+def _verdict_of(manifold: FourManifold, d: int, xx: int, characteristic: bool) -> _Verdict:
+    yy = xx // (d * d) if d else 0  # exact: x.x = d^2 (y.y)
+    return _verdict(manifold.b2, manifold.sigma, manifold.ks, d, yy, characteristic)
+
+
+def report_from_invariants(
+    manifold: FourManifold, x, d: int, xx: int, characteristic: bool
+) -> SphereClassReport:
+    """The report of class ``x`` given its divisibility, x.x and characteristic flag."""
+    v = _verdict_of(manifold, d, xx, characteristic)
+    return SphereClassReport(
+        x=_class_of(x),
+        divisibility=d,
+        characteristic=characteristic,
+        lw_bound=v.lw_bound,
+        b2=manifold.b2,
+        sigma=manifold.sigma,
+        ks=manifold.ks,
+        exists=v.exists,
+        reasons=v.reasons,
+        uniqueness=v.uniqueness,
+        citations=v.existence_citations + v.uniqueness_citations,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the public rules, each read off the verdict
 
 
 def lw_bound(manifold: FourManifold, x) -> int:
     """max over 0 <= j < d of |sigma - 2j(d-j) * (y.y)| where x = d*y.
 
-    Integral because x.x = d^2 (y.y); undefined for the zero class.  The
-    term is affine in j(d-j), so the max over j is attained at j = 0 or
-    j = d//2; evaluating those two endpoints keeps divisibilities of any
-    size exact without iterating.
+    Integral because x.x = d^2 (y.y); undefined for the zero class.
     """
-    cls = _class_of(x)
-    d = intlattice.divisibility(cls)
-    if d == 0:
+    v = _verdict_of(manifold, *_invariants(manifold, _class_of(x)))
+    if v.lw_bound is None:
         raise ZeroClass("the rotation-number bound is undefined for the zero class")
-    y = HomologyClass(tuple(c // d for c in cls.coords))
-    yy = intlattice.self_intersection(manifold.form, y)
-    peak = (d // 2) * (d - d // 2)
-    return max(abs(manifold.sigma), abs(manifold.sigma - 2 * peak * yy))
+    return v.lw_bound
 
 
 def ks_condition(manifold: FourManifold, x) -> bool:
-    """Mod-2 test of ks = (sigma - x.x)/8 for a characteristic class.
-
-    (sigma - x.x) is divisible by 8 whenever x is characteristic and the
-    form is unimodular; that divisibility is asserted, and the equality is
-    read in Z/2 since ks is a Z/2 invariant.
-    """
-    cls = _class_of(x)
-    if not intlattice.is_characteristic(manifold.form, cls):
+    """Mod-2 test of ks = (sigma - x.x)/8 for a characteristic class."""
+    v = _verdict_of(manifold, *_invariants(manifold, _class_of(x)))
+    if v.passes_ks is None:
         raise NotCharacteristic("the ks criterion applies to characteristic classes only")
-    diff = manifold.sigma - intlattice.self_intersection(manifold.form, cls)
-    if diff % 8:
-        raise DivisibilityViolation(
-            f"signature - x.x = {diff} is not divisible by 8 for a characteristic class"
-        )
-    return manifold.ks % 2 == (diff // 8) % 2
+    return v.passes_ks
 
 
 def exists_simple_sphere(manifold: FourManifold, x) -> ExistenceResult:
@@ -199,105 +303,88 @@ def exists_simple_sphere(manifold: FourManifold, x) -> ExistenceResult:
     characteristic.  The zero class is always representable (an unknotted
     sphere in a small ball).
     """
-    cls = _class_of(x)
-    d = intlattice.divisibility(cls)
-    if d == 0:
-        return ExistenceResult(EXISTS_YES, (), (CITE_NULLHOMOLOGOUS,))
-    reasons = []
-    citations = [CITE_RANK_BOUND]
-    bound = lw_bound(manifold, cls)
-    passes_bound = manifold.b2 >= bound
-    reasons.append(REASON_PASSES_LW if passes_bound else REASON_FAILS_LW)
-    if intlattice.is_characteristic(manifold.form, cls):
-        citations.append(CITE_CHARACTERISTIC_KS)
-        passes_ks = ks_condition(manifold, cls)
-        reasons.append(REASON_PASSES_KS if passes_ks else REASON_FAILS_KS)
-        verdict = EXISTS_YES if passes_bound and passes_ks else EXISTS_NO
-    else:
-        reasons.append(REASON_ORDINARY)
-        verdict = EXISTS_YES if passes_bound else EXISTS_NO
-    return ExistenceResult(verdict, tuple(reasons), tuple(citations))
-
-
-# ---------------------------------------------------------------------------
-# uniqueness rules
+    v = _verdict_of(manifold, *_invariants(manifold, _class_of(x)))
+    verdict = EXISTS_YES if v.exists == EXISTS_BY_DEFINITION else v.exists
+    return ExistenceResult(verdict, v.reasons, v.existence_citations)
 
 
 def uniqueness_status(manifold: FourManifold, x) -> UniquenessResult:
-    """Uniqueness verdict for a representable class of nonzero divisibility.
-
-    The three sufficient rules are applied with the strict reading of the
-    inequality; equality cases are reported unknown with a citation tag so
-    a reader can see exactly why no verdict was issued.
-    """
-    cls = _class_of(x)
-    d = intlattice.divisibility(cls)
-    if d == 0:
+    """Uniqueness verdict for a representable class of nonzero divisibility."""
+    v = _verdict_of(manifold, *_invariants(manifold, _class_of(x)))
+    if v.exists == EXISTS_BY_DEFINITION:
         raise NotApplicable(
             "uniqueness of the zero class is governed by isometry classes of "
             "hermitian forms; see classify, which reports DeterminedByForm"
         )
-    existence = exists_simple_sphere(manifold, cls)
-    if existence.verdict != EXISTS_YES:
+    if v.exists != EXISTS_YES:
         raise ValueError("uniqueness is only defined for representable classes")
-    if d == 1:
-        return UniquenessResult(UNIQUE_ISOTOPY, (CITE_DIV_ONE,))
-    bound = lw_bound(manifold, cls)
-    strict = manifold.b2 > bound
-    if manifold.b2 > 6 and strict:
-        return UniquenessResult(UNIQUE_ISOTOPY, (CITE_RANK_GT_6,))
-    if manifold.b2 > abs(manifold.sigma) + 2 and strict:
-        return UniquenessResult(UNIQUE_ISOTOPY, (CITE_RANK_GT_SIGMA,))
-    tag = CITE_OPEN_AT_EQUALITY if manifold.b2 == bound else CITE_NO_RULE
-    return UniquenessResult(UNKNOWN, (tag,))
-
-
-# ---------------------------------------------------------------------------
-# assembled reports
+    return UniquenessResult(v.uniqueness, v.uniqueness_citations)
 
 
 def classify(manifold: FourManifold, x) -> SphereClassReport:
     """Full per-class report: divisibility, bounds, existence, uniqueness."""
     cls = _class_of(x)
-    if len(cls) != manifold.b2:
-        raise DimensionMismatch(
-            f"class has length {len(cls)}, form has rank {manifold.b2}"
-        )
-    d = intlattice.divisibility(cls)
-    characteristic = intlattice.is_characteristic(manifold.form, cls)
-    existence = exists_simple_sphere(manifold, cls)
-    citations = list(existence.citations)
-    if d == 0:
-        exists = EXISTS_BY_DEFINITION
-        bound = None
-        uniqueness = DETERMINED_BY_FORM
-        citations.append(CITE_DETERMINED_BY_FORM)
-        if manifold.b2 >= manifold.sigma + 6:
-            citations.append(CITE_AUTOMATIC_ISOMETRY)
-    else:
-        exists = existence.verdict
-        bound = lw_bound(manifold, cls)
-        if exists == EXISTS_YES:
-            unique = uniqueness_status(manifold, cls)
-            uniqueness = unique.verdict
-            citations.extend(unique.citations)
-        else:
-            uniqueness = UNKNOWN
-    seen = set()
-    deduped = tuple(c for c in citations if not (c in seen or seen.add(c)))
-    return SphereClassReport(
-        x=cls,
-        divisibility=d,
-        characteristic=characteristic,
-        lw_bound=bound,
-        b2=manifold.b2,
-        sigma=manifold.sigma,
-        ks=manifold.ks,
-        exists=exists,
-        reasons=existence.reasons,
-        uniqueness=uniqueness,
-        citations=deduped,
-    )
+    return report_from_invariants(manifold, cls, *_invariants(manifold, cls))
+
+
+# ---------------------------------------------------------------------------
+# the box
+
+
+def walk_box(manifold: FourManifold, max_abs: int) -> Iterator[tuple[tuple[int, ...], int, int, bool]]:
+    """Yield (x, divisibility, x.x, characteristic) for every class in the box.
+
+    The box holds the classes with coordinates in [-max_abs, max_abs], and
+    they come in lexicographic order.  An odometer walks the leading n-1
+    coordinates and carries h, Qh and h.h for h = (x_0, ..., x_{n-2}, 0):
+    stepping coordinate k by delta changes h.h by 2 delta (Qh)_k +
+    delta^2 Q_kk and Qh by delta Q[k].  The last coordinate t runs inside,
+    where x.x = h.h + 2t (Qh)_{n-1} + t^2 Q_{n-1,n-1}.  The characteristic
+    classes are the coset w + 2Z^n (``intlattice.characteristic_vector``),
+    so the flag is a parity comparison with w.
+    """
+    if max_abs < 0:
+        raise ValueError("max_abs must be nonnegative")
+    q = manifold.form.matrix
+    n = len(q)
+    if n == 0:
+        yield (), 0, 0, True
+        return
+    w = intlattice.characteristic_vector(q)
+    m = max_abs
+    last = n - 1
+    head = [-m] * last
+    qh = [-m * sum(row[:last]) for row in q]
+    hh = -m * sum(qh[:last])
+
+    def step(k: int, delta: int) -> None:
+        nonlocal qh, hh
+        hh += 2 * delta * qh[k] + delta * delta * q[k][k]
+        qh = [v + delta * c for v, c in zip(qh, q[k])]
+        head[k] += delta
+
+    q_last, w_last = q[last][last], w[last]
+    run = range(-m, m + 1)
+    while True:
+        prefix = tuple(head)
+        g = gcd(*prefix)
+        a = 2 * qh[last]
+        head_characteristic = all((h - wi) % 2 == 0 for h, wi in zip(prefix, w))
+        for t in run:
+            yield (
+                prefix + (t,),
+                gcd(g, t),
+                hh + t * (a + t * q_last),
+                head_characteristic and (t - w_last) % 2 == 0,
+            )
+        k = last - 1
+        while k >= 0 and head[k] == m:
+            k -= 1
+        if k < 0:
+            return
+        for j in range(k + 1, last):
+            step(j, -2 * m)
+        step(k, 1)
 
 
 def enumerate_representable(manifold: FourManifold, max_abs: int) -> list[SphereClassReport]:
@@ -306,13 +393,7 @@ def enumerate_representable(manifold: FourManifold, max_abs: int) -> list[Sphere
     Classes are visited and reported in lexicographic order, so the output
     is deterministic.
     """
-    if max_abs < 0:
-        raise ValueError("max_abs must be nonnegative")
-    coords = range(-max_abs, max_abs + 1)
-    return [
-        classify(manifold, HomologyClass(x))
-        for x in itertools.product(coords, repeat=manifold.b2)
-    ]
+    return [report_from_invariants(manifold, *inv) for inv in walk_box(manifold, max_abs)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Command-line front end: classification queries, catalogs, form algebra.
 
 JSON output is the stable contract; the table format is for humans and
-may change.  Matrix and class literals are JSON arrays of integers;
-hermitian-form entries use a small polynomial grammar, integer-coefficient
-polynomials in ``T`` (cyclic rings) or ``t`` with ``t^-2``-style negative
-exponents (Laurent ring).  ``SPHERECALC_BUDGET`` overrides the default
-node budget of the congruence search.
+may change.  ``enumerate`` streams its catalog: it writes the bytes of
+``CatalogFile.to_json_text`` chunk by chunk without keeping reports, so
+its memory stays flat however large the box.  Matrix and class literals
+are JSON arrays of integers; hermitian-form entries use a small
+polynomial grammar, integer-coefficient polynomials in ``T`` (cyclic
+rings) or ``t`` with ``t^-2``-style negative exponents (Laurent ring).
+``SPHERECALC_BUDGET`` overrides the default node budget of the
+congruence search.
 """
 
 from __future__ import annotations
@@ -300,15 +303,74 @@ class CatalogFile:
         )
 
 
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
 def build_catalog(spec: ManifoldSpec, max_abs: int) -> CatalogFile:
+    """The whole catalog in memory; ``enumerate`` streams the same bytes."""
     reports = classifier.enumerate_representable(spec.manifold(), max_abs)
     return CatalogFile(
         manifold=spec,
         max_abs=max_abs,
         reports=tuple(reports),
         tool_version=__version__,
-        generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        generated_at=_now(),
     )
+
+
+#: Reports per write of a streamed catalog.
+CHUNK_REPORTS = 4096
+
+
+def write_catalog(
+    fh, spec: ManifoldSpec, manifold: FourManifold, max_abs: int, generated_at: str
+) -> tuple[int, int, int]:
+    """Stream the catalog of the box to ``fh``; return (classes, representable, unique).
+
+    The bytes are those of ``CatalogFile.to_json_text`` for the same
+    ``generated_at``, but no report is kept.  A report's text after its
+    class depends only on (divisibility, x.x, characteristic), so it is
+    rendered once per such key, in a dict local to the call, together with
+    the two flags the summary counts.
+    """
+    empty = CatalogFile(spec, max_abs, (), __version__, generated_at).to_json_text()
+    head, tail = empty.rsplit('"reports": []', 1)
+    fh.write(head + '"reports": [\n')
+    if manifold.b2:
+        class_open, class_sep, class_close = '    {\n      "class": [\n        ', ",\n        ", "\n      ],\n"
+    else:
+        class_open, class_sep, class_close = '    {\n      "class": [', "", "],\n"
+    cache = {}
+    chunk = []
+    lead = ""
+    classes = representable = unique = 0
+    for x, d, xx, characteristic in classifier.walk_box(manifold, max_abs):
+        key = (d, xx, characteristic)
+        entry = cache.get(key)
+        if entry is None:
+            report = classifier.report_from_invariants(manifold, x, d, xx, characteristic)
+            data = report.to_json_dict()
+            del data["class"]
+            body = json.dumps(data, indent=2)[2:].replace("\n", "\n    ")
+            entry = cache[key] = (
+                "    " + body,
+                report.exists in (classifier.EXISTS_YES, classifier.EXISTS_BY_DEFINITION),
+                report.uniqueness == classifier.UNIQUE_ISOTOPY,
+            )
+        body, is_representable, is_unique = entry
+        chunk.append(class_open + class_sep.join(map(str, x)) + class_close + body)
+        classes += 1
+        representable += is_representable
+        unique += is_unique
+        if len(chunk) == CHUNK_REPORTS:
+            fh.write(lead + ",\n".join(chunk))
+            lead = ",\n"
+            chunk.clear()
+    if chunk:
+        fh.write(lead + ",\n".join(chunk))
+    fh.write("\n  ]" + tail)
+    return classes, representable, unique
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +415,34 @@ def cmd_enumerate(args) -> int:
     spec = parse_manifold_spec(args.manifold, ks=args.ks)
     if args.max_abs < 0:
         raise ParseError("--max-abs must be nonnegative")
-    catalog = build_catalog(spec, args.max_abs)
-    representable = sum(
-        1 for r in catalog.reports if r.exists in (classifier.EXISTS_YES, classifier.EXISTS_BY_DEFINITION)
-    )
-    unique = sum(1 for r in catalog.reports if r.uniqueness == classifier.UNIQUE_ISOTOPY)
-    summary = (
-        f"classes: {len(catalog.reports)}  representable: {representable}  "
-        f"unique-isotopy: {unique}"
-    )
-    if args.out:
+    manifold = spec.manifold()
+    if not args.out:
+        try:
+            counts = write_catalog(sys.stdout, spec, manifold, args.max_abs, _now())
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe, as `| head` does.  Point stdout at
+            # devnull so that the flush at interpreter exit cannot raise too.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print("error: standard output closed before the catalog was complete", file=sys.stderr)
+            return 1
+        print(_summary(*counts), file=sys.stderr)
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(catalog.to_json_text())
-        print(summary)
-        print(f"catalog written to {args.out}")
-    else:
-        sys.stdout.write(catalog.to_json_text())
-        print(summary, file=sys.stderr)
+            counts = write_catalog(fh, spec, manifold, args.max_abs, _now())
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    print(_summary(*counts))
+    print(f"catalog written to {args.out}")
     return 0
+
+
+def _summary(classes: int, representable: int, unique: int) -> str:
+    return f"classes: {classes}  representable: {representable}  unique-isotopy: {unique}"
 
 
 def _form_payload(form: hermitian.HermitianForm) -> dict:

@@ -228,6 +228,27 @@ def is_characteristic(q, x) -> bool:
     return True
 
 
+def characteristic_vector(q) -> tuple[int, ...]:
+    """The w in {0,1}^n with Qw = diag(Q) mod 2.
+
+    x is characteristic iff Qx = diag(Q) mod 2, and a unimodular Q is
+    invertible mod 2, so the characteristic classes are exactly the coset
+    w + 2Z^n.  Solved by Gauss-Jordan elimination over GF(2).
+    """
+    rows = _matrix_rows(q)
+    n = len(rows)
+    aug = [[v % 2 for v in rows[i]] + [rows[i][i] % 2] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise ValueError("form is singular mod 2")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                aug[r] = [a ^ b for a, b in zip(aug[r], aug[col])]
+    return tuple(aug[i][n] for i in range(n))
+
+
 def signature(q) -> int:
     """Signature by symmetric congruence diagonalization over the rationals.
 
@@ -353,6 +374,7 @@ def is_isometric(q1, q2) -> IsometryResult:
         )
     return IsometryResult(
         ISO_UNDECIDED,
-        reason="definite forms of rank > 8 are outside the bounded search",
+        reason="equal rank, signature and parity do not decide definite forms of"
+        " rank >= 9: Z^9 and E8 + <1> share them",
         invariants=pair,
     )

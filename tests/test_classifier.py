@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from spherecalc import classifier
+from spherecalc import classifier, intlattice
 from spherecalc.classifier import (
     DETERMINED_BY_FORM,
     EXISTS_BY_DEFINITION,
@@ -26,6 +26,7 @@ from spherecalc.classifier import (
     realizable_forms_check,
     report_from_json_dict,
     uniqueness_status,
+    walk_box,
 )
 from spherecalc.errors import (
     DimensionMismatch,
@@ -268,6 +269,42 @@ def test_enumerate_two_hyperbolics_matches_predicate_small_box():
             assert report.uniqueness == UNIQUE_ISOTOPY  # strict inequality holds here
 
 
+def test_walk_box_matches_the_direct_invariants_on_random_boxes():
+    rng = random.Random(23)
+    bases = [((1,),), H_MATRIX, HH_ROWS, ((1, 2), (2, 3)), block_diag(H_MATRIX, ((1,),), ((-1,),))]
+    for _ in range(40):
+        base = bases[rng.randrange(len(bases))]
+        rows = oracles.conjugate_form(base, oracles.random_unimodular(rng, len(base)))
+        manifold = FourManifold(IntersectionForm(rows), rng.randint(0, 1))
+        max_abs = rng.randint(0, 3 if len(rows) <= 3 else 2)
+        coords = range(-max_abs, max_abs + 1)
+        walked = list(walk_box(manifold, max_abs))
+        assert [x for x, *_ in walked] == list(itertools.product(coords, repeat=len(rows)))
+        for x, d, xx, characteristic in walked:
+            assert d == intlattice.divisibility(x)
+            assert xx == intlattice.self_intersection(rows, x)
+            assert characteristic == intlattice.is_characteristic(rows, x)
+    assert list(walk_box(FourManifold(IntersectionForm(()), 0), 2)) == [((), 0, 0, True)]
+
+
+def test_characteristic_vector_spans_the_characteristic_coset():
+    rng = random.Random(29)
+    for base in (((1,),), H_MATRIX, ((1, 2), (2, 3)), block_diag(H_MATRIX, ((1,),), ((-1,),))):
+        rows = oracles.conjugate_form(base, oracles.random_unimodular(rng, len(base)))
+        w = intlattice.characteristic_vector(rows)
+        for a in itertools.product((0, 1), repeat=len(rows)):
+            assert oracles.is_characteristic_bruteforce(rows, a) == (a == w)
+
+
+@pytest.mark.parametrize("max_abs", [0, 1, 2])
+def test_enumerate_representable_matches_per_class_classify(max_abs):
+    odd = FourManifold(IntersectionForm(block_diag(H_MATRIX, ((1,),), ((-1,),))), 1)
+    for manifold in (CP2, S2XS2_2, odd, FourManifold(IntersectionForm(()), 0)):
+        coords = range(-max_abs, max_abs + 1)
+        expected = [classify(manifold, x) for x in itertools.product(coords, repeat=manifold.b2)]
+        assert enumerate_representable(manifold, max_abs) == expected
+
+
 def test_cp2_closed_form_up_to_50():
     for k in range(-50, 51):
         expected = k in (-2, -1, 0, 1, 2)
@@ -371,8 +408,8 @@ def test_realizable_forms_nonunimodular_augmentation():
 
 
 def test_realizable_forms_propagates_undecided():
-    # definite rank 9 with matching invariants is outside the bounded
-    # integer isometry search, so the realizability check stays undecided
+    # equal invariants do not decide definite integer isometry in rank 9,
+    # so the realizability check stays undecided
     from spherecalc.intlattice import E8_MATRIX
 
     big_rows = block_diag(E8_MATRIX, ((1,),))
@@ -392,3 +429,70 @@ def test_oracle_agreement_on_the_box_small():
             v == 0 for v in x
         )
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties: a change of basis and a reversed orientation
+
+#: The manifolds of the benchmark's catalog and query workloads, and two
+#: of rank 3 and 5 with sigma < 0, where the rule b2 > |sigma| + 2 decides
+#: uniqueness for classes with y.y = 0.
+METAMORPHIC_MANIFOLDS = (
+    ("CP2", 0), ("H", 0), ("diag(1,-1)", 1), ("[[1,2],[2,3]]", 1),
+    ("[[0,1],[1,0]]#CP2", 0), ("H#H", 1), ("CP2#CP2#CP2#diag(-1,-1)", 1),
+    ("H#H#H", 0), ("E8", 1), ("E8#H", 0), ("CP2#E8#diag(-1,-1,-1)", 0),
+    ("E8#E8#H#H#H", 0), ("diag(" + ",".join(["1"] * 3 + ["-1"] * 19) + ")", 1),
+    ("diag(1,-1,-1)", 0), ("CP2#diag(-1,-1,-1,-1)", 1),
+)
+
+
+def random_classes(rng, rows, count):
+    """Zero, characteristic, highly divisible (d up to 10^15) and ordinary classes."""
+    n = len(rows)
+    w = intlattice.characteristic_vector(rows)
+    classes = [(0,) * n]
+    for _ in range(count):
+        kind = rng.choice(("characteristic", "divisible", "ordinary"))
+        if kind == "characteristic":
+            classes.append(tuple(wi + 2 * rng.randint(-2, 2) for wi in w))
+        elif kind == "divisible":
+            d = rng.choice((rng.randint(2, 60), rng.randint(10**12, 10**15)))
+            y = [rng.randint(-3, 3) for _ in range(n)]
+            y[rng.randrange(n)] = rng.choice((1, -1))
+            classes.append(tuple(d * v for v in y))
+        else:
+            classes.append(tuple(rng.randint(-5, 5) for _ in range(n)))
+    return classes
+
+
+def without_class(report):
+    data = report.to_json_dict()
+    del data["class"]
+    return data
+
+
+@pytest.mark.parametrize("literal,ks", METAMORPHIC_MANIFOLDS)
+def test_classify_is_invariant_under_a_change_of_basis(literal, ks):
+    from spherecalc import cli
+
+    rows = cli.parse_manifold_spec(literal).matrix
+    rng = random.Random(f"basis:{literal}")
+    p = oracles.random_unimodular(rng, len(rows))
+    manifold = FourManifold(IntersectionForm(rows), ks)
+    changed = FourManifold(IntersectionForm(oracles.conjugate_form(rows, p)), ks)
+    for y in random_classes(rng, changed.form.matrix, 60):
+        x = intlattice.mat_vec(p, y)  # (P^T Q P, y) with y = P^-1 x
+        assert without_class(classify(changed, y)) == without_class(classify(manifold, x))
+
+
+@pytest.mark.parametrize("literal,ks", METAMORPHIC_MANIFOLDS)
+def test_existence_and_uniqueness_survive_reversed_orientation(literal, ks):
+    from spherecalc import cli
+
+    rows = cli.parse_manifold_spec(literal).matrix
+    rng = random.Random(f"orientation:{literal}")
+    manifold = FourManifold(IntersectionForm(rows), ks)
+    reversed_ = FourManifold(IntersectionForm(tuple(tuple(-v for v in r) for r in rows)), ks)
+    for x in random_classes(rng, rows, 60):
+        a, b = classify(manifold, x), classify(reversed_, x)
+        assert (a.exists, a.reasons, a.uniqueness) == (b.exists, b.reasons, b.uniqueness)

@@ -1,8 +1,13 @@
+import io
+import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from spherecalc import cli
+from spherecalc import __version__, classifier, cli
 from spherecalc.classifier import DETERMINED_BY_FORM, EXISTS_BY_DEFINITION
 from spherecalc.errors import ParseError
 from spherecalc.groupring import CyclicRing, GroupRingElem, LaurentElem, LaurentRing
@@ -202,6 +207,124 @@ def test_enumerate_negative_bound(capsys):
     code, _, err = run(capsys, "enumerate", "--manifold", "CP2", "--max-abs", "-1")
     assert code == 2
     assert "max-abs" in err
+
+
+def test_enumerate_out_in_a_missing_directory_is_input_error(tmp_path, capsys, monkeypatch):
+    def walk_box(*_):
+        raise AssertionError("no class may be walked before --out is open")
+
+    monkeypatch.setattr(cli.classifier, "walk_box", walk_box)
+    out_path = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "enumerate", "--manifold", "CP2", "--max-abs", "1", "--out", str(out_path)
+    )
+    assert code == 1
+    assert err.startswith("error:") and "--out" in err
+    assert out == ""
+    assert not out_path.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_enumerate_out_on_a_full_device_is_input_error(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--manifold", "CP2", "--max-abs", "2", "--out", "/dev/full"
+    )
+    assert code == 1
+    assert err.startswith("error:") and "--out" in err
+    assert out == ""
+
+
+def test_enumerate_to_a_closed_pipe_exits_without_traceback():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spherecalc", "enumerate", "--manifold", "H#H#H", "--max-abs", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    try:
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    finally:
+        proc.wait(timeout=60)
+        proc.stderr.close()
+    assert proc.returncode == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+STAMP = "2000-01-01T00:00:00+00:00"
+
+#: (manifold, ks, max_abs): rank 0, a --max-abs 0 box, and the benchmark's
+#: families; E8 box 1 (6,561 classes) spans more than one written chunk.
+CATALOG_CASES = [
+    ("CP2", 0, 4),
+    ("H#H", 0, 2),
+    ("CP2#CP2#CP2#diag(-1,-1)", 1, 2),
+    ("E8", 0, 1),
+    ("E8", 1, 1),
+    ("diag()", 0, 3),
+    ("H#H", 1, 0),
+]
+
+
+def in_memory_catalog(spec, max_abs):
+    """The catalog of the box built from one ``classify`` call per class."""
+    manifold = spec.manifold()
+    coords = range(-max_abs, max_abs + 1)
+    reports = tuple(
+        classifier.classify(manifold, x)
+        for x in itertools.product(coords, repeat=manifold.b2)
+    )
+    return cli.CatalogFile(spec, max_abs, reports, __version__, STAMP)
+
+
+def summary_counts(catalog):
+    return (
+        len(catalog.reports),
+        sum(r.exists in ("Yes", "YesByDefinition") for r in catalog.reports),
+        sum(r.uniqueness == "UniqueIsotopy" for r in catalog.reports),
+    )
+
+
+@pytest.mark.parametrize("manifold,ks,max_abs", CATALOG_CASES)
+def test_streamed_catalog_equals_the_in_memory_catalog(manifold, ks, max_abs):
+    spec = cli.parse_manifold_spec(manifold, ks=ks)
+    expected = in_memory_catalog(spec, max_abs)
+    out = io.StringIO()
+    counts = cli.write_catalog(out, spec, spec.manifold(), max_abs, STAMP)
+    assert out.getvalue() == expected.to_json_text()
+    assert counts == summary_counts(expected)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 9, 10])
+def test_streamed_catalog_is_independent_of_the_chunk_size(monkeypatch, chunk):
+    monkeypatch.setattr(cli, "CHUNK_REPORTS", chunk)
+    spec = cli.parse_manifold_spec("CP2")
+    out = io.StringIO()
+    cli.write_catalog(out, spec, spec.manifold(), 4, STAMP)
+    assert out.getvalue() == in_memory_catalog(spec, 4).to_json_text()
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_enumerate_command_streams_the_in_memory_catalog(tmp_path, capsys, to_file):
+    spec = cli.parse_manifold_spec("CP2#CP2#CP2#diag(-1,-1)", ks=1)
+    argv = ["enumerate", "--manifold", spec.name, "--ks", "1", "--max-abs", "1"]
+    out_path = tmp_path / "catalog.json"
+    if to_file:
+        argv += ["--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    text = out_path.read_text(encoding="utf-8") if to_file else out
+    summary = out.splitlines()[0] if to_file else err.strip()
+    stamp = json.loads(text)["generated_at"]
+    expected = in_memory_catalog(spec, 1)
+    assert text == expected.to_json_text().replace(STAMP, stamp)
+    classes, representable, unique = summary_counts(expected)
+    assert summary == (
+        f"classes: {classes}  representable: {representable}  unique-isotopy: {unique}"
+    )
+    assert cli.build_catalog(spec, 1).reports == expected.reports
 
 
 # ---------------------------------------------------------------------------

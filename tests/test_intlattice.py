@@ -278,6 +278,7 @@ def test_isometry_i9_against_e8_plus_one_is_undecided():
     res = is_isometric(i9, block_diag(E8_MATRIX, ((1,),)))
     assert res.verdict == intlattice.ISO_UNDECIDED
     assert res.invariants[0] == res.invariants[1]
+    assert "do not decide definite forms of rank >= 9" in res.reason
 
 
 def test_isometry_definite_e8_in_a_changed_basis_is_yes():
