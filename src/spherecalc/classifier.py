@@ -195,6 +195,9 @@ def _verdict(b2: int, sigma: int, ks: int, d: int, yy: int, characteristic: bool
     Uniqueness: the three sufficient rules of the module docstring, with
     the strict reading of the inequality; an equality case is unknown with
     a citation tag, so a reader can see exactly why no verdict was issued.
+    The zero class is tagged automatic-isometry when b2 >= |sigma| + 6:
+    reversing the orientation maps the spheres and the isometries of Q to
+    those of -Q, so the rule is symmetric in sigma.
     """
     passes_ks = None
     if characteristic:
@@ -206,7 +209,7 @@ def _verdict(b2: int, sigma: int, ks: int, d: int, yy: int, characteristic: bool
         passes_ks = ks % 2 == (diff // 8) % 2
     if d == 0:
         uniqueness_citations = (CITE_DETERMINED_BY_FORM,)
-        if b2 >= sigma + 6:
+        if b2 >= abs(sigma) + 6:
             uniqueness_citations += (CITE_AUTOMATIC_ISOMETRY,)
         return _Verdict(
             None, passes_ks, EXISTS_BY_DEFINITION, (), DETERMINED_BY_FORM,

@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 from . import __version__, classifier, hermitian, intlattice
 from .classifier import FourManifold, SphereClassReport
 from .errors import InvalidForm, ParseError, SpherecalcError
-from .groupring import CyclicRing, LaurentRing, Ring
+from .groupring import MAX_CYCLIC_ORDER, CyclicRing, LaurentRing, Ring
 from .intlattice import E8_MATRIX, H_MATRIX, Matrix, block_diag, freeze_matrix
 
 CATALOG_SCHEMA = "spherecalc.catalog/1"
@@ -60,6 +60,8 @@ def parse_int_matrix(text: str, what: str = "matrix", square: bool = True) -> Ma
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON {what}: {exc.msg}", position=exc.pos) from exc
+    except RecursionError as exc:
+        raise ParseError(f"JSON {what} nests too deeply") from exc
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ParseError(f"{what} literal must be a JSON array of arrays")
     for row in data:
@@ -76,6 +78,8 @@ def parse_int_vector(text: str) -> tuple[int, ...]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON vector: {exc.msg}", position=exc.pos) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON vector nests too deeply") from exc
     if not isinstance(data, list):
         raise ParseError("class literal must be a JSON array of integers")
     for v in data:
@@ -121,10 +125,7 @@ def parse_poly(text: str, ring: Ring, base: int = 0):
         coeff_text, _, exp_text = m.groups()
         coeff = int(coeff_text) if coeff_text not in ("", "+", "-") else (-1 if coeff_text == "-" else 1)
         exponent = int(exp_text) if exp_text is not None else 1
-        if isinstance(ring, LaurentRing) or exponent >= 0:
-            result = result + ring.monomial(exponent, coeff)
-        else:
-            result = result + ring.monomial(exponent % ring.d, coeff)
+        result = result + ring.monomial(exponent, coeff)
     return result
 
 
@@ -192,9 +193,13 @@ def parse_ring(text: str) -> Ring:
         return LaurentRing()
     m = re.match(r"^(?:Z|cyclic:)(\d+)$", s)
     if m:
-        if int(m.group(1)) < 1:
-            raise ParseError(f"cyclic ring order must be positive, got {text!r}")
-        return CyclicRing(int(m.group(1)))
+        d = int(m.group(1))
+        if not 1 <= d <= MAX_CYCLIC_ORDER:
+            raise ParseError(
+                f"cyclic ring order must be positive and at most {MAX_CYCLIC_ORDER}, "
+                f"got {text!r}"
+            )
+        return CyclicRing(d)
     raise ParseError(
         f"unknown ring {text!r}: use 'laurent' (or 'Z') or 'Z<d>' such as 'Z2'"
     )

@@ -5,6 +5,15 @@ order d (dense length-d coefficient vectors, index arithmetic mod d) and
 integer Laurent polynomials (sparse exponent -> coefficient maps).  Both
 are exact; unit detection never leaves integer arithmetic.
 
+This module owns the packed payload of an element and its arithmetic:
+``GroupRingElem.coeffs`` (a dense length-d tuple) and
+``LaurentElem.terms`` (sorted (exponent, coefficient) pairs, no zeros).
+Both are canonical, so payload equality is element equality.  The ring
+descriptors ``CyclicRing`` and ``LaurentRing`` carry the payload
+operations (sum, conjugate, a row scaled by a monomial c * T^k passed as
+the pair (k, c)); the element operators and the congruence search in
+``hermitian`` both run on them.
+
 >>> u = GroupRingElem(2, (1, 2))
 >>> str(u * u)
 '5 + 4T'
@@ -22,6 +31,10 @@ from .intlattice import integer_det
 
 #: Cyclic orders whose group rings contain only the trivial units (+-T^k).
 TRIVIAL_UNIT_ORDERS = frozenset({1, 2, 3, 4, 6})
+
+#: Largest cyclic order accepted from input: a cyclic-ring element stores
+#: d coefficients, and a finite symmetry is sought up to this order.
+MAX_CYCLIC_ORDER = 4096
 
 
 def _format_terms(pairs, var: str) -> str:
@@ -97,7 +110,7 @@ class GroupRingElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GroupRingElem(self.d, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return GroupRingElem(self.d, CyclicRing.add(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
@@ -145,9 +158,7 @@ class GroupRingElem:
 
     def conjugate(self) -> "GroupRingElem":
         """Apply T -> T^(-1); an involutive ring automorphism."""
-        return GroupRingElem(
-            self.d, tuple(self.coeffs[(-k) % self.d] for k in range(self.d))
-        )
+        return GroupRingElem(self.d, CyclicRing.conj(self.coeffs))
 
     def augment(self) -> int:
         """Ring homomorphism to Z given by T -> 1."""
@@ -209,9 +220,6 @@ class LaurentElem:
     def monomial(cls, k: int, c: int = 1) -> "LaurentElem":
         return cls(((int(k), int(c)),))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
-
     # -- ring structure
 
     def _coerce(self, other):
@@ -227,10 +235,7 @@ class LaurentElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = self.as_dict()
-        for e, c in o.terms:
-            out[e] = out.get(e, 0) + c
-        return LaurentElem.from_terms(out)
+        return LaurentElem(LaurentRing.add(self.terms, o.terms))
 
     __radd__ = __add__
 
@@ -276,7 +281,7 @@ class LaurentElem:
 
     def conjugate(self) -> "LaurentElem":
         """Apply t -> t^(-1) by negating every exponent."""
-        return LaurentElem(tuple((-e, c) for e, c in self.terms))
+        return LaurentElem(LaurentRing.conj(self.terms))
 
     def augment(self) -> int:
         return sum(c for _, c in self.terms)
@@ -290,7 +295,7 @@ class LaurentElem:
 
 
 # ---------------------------------------------------------------------------
-# ring descriptors (used by the hermitian-form layer and serialization)
+# ring descriptors: constructors, coercion and the packed payload arithmetic
 
 
 @dataclass(frozen=True)
@@ -328,6 +333,44 @@ class CyclicRing:
         """Whether every unit of the ring is of the form +-T^k."""
         return self.d in TRIVIAL_UNIT_ORDERS
 
+    # -- packed payloads: dense length-d coefficient tuples
+
+    @staticmethod
+    def pack(value) -> tuple:
+        return value.coeffs
+
+    def unpack(self, x) -> GroupRingElem:
+        return GroupRingElem(self.d, x)
+
+    def scale_row(self, w, row):
+        """Each payload of ``row`` times the monomial w = (k, c)."""
+        k, c = w
+        s = self.d - k  # c * T^k moves the coefficient of T^i to T^(i+k)
+        if c == 1:
+            return tuple([x[s:] + x[:s] for x in row])
+        return tuple([tuple([c * a for a in x[s:] + x[:s]]) for x in row])
+
+    @staticmethod
+    def add(x, y):
+        return tuple(map(int.__add__, x, y))
+
+    @staticmethod
+    def add_rows(r1, r2):
+        return tuple([tuple(map(int.__add__, x, y)) for x, y in zip(r1, r2)])
+
+    @staticmethod
+    def conj(x):
+        return x[:1] + x[:0:-1]
+
+    @staticmethod
+    def row_ok(row, coeff_limit: int, exp_limit: int) -> bool:
+        """Every coefficient within +-coeff_limit (exponents are bounded by d)."""
+        for x in row:
+            for c in x:
+                if c > coeff_limit or c < -coeff_limit:
+                    return False
+        return True
+
     def __str__(self):
         return f"Z[Z_{self.d}]"
 
@@ -357,6 +400,53 @@ class LaurentRing:
 
     @property
     def units_fully_known(self) -> bool:
+        return True
+
+    # -- packed payloads: sorted (exponent, coefficient) pairs without zeros
+
+    @staticmethod
+    def pack(value) -> tuple:
+        return value.terms
+
+    @staticmethod
+    def unpack(x) -> LaurentElem:
+        return LaurentElem(x)
+
+    @staticmethod
+    def scale_row(w, row):
+        """Each payload of ``row`` times the monomial w = (k, c)."""
+        k, c = w
+        if c == 1:
+            return tuple([tuple([(e + k, a) for e, a in x]) for x in row])
+        return tuple([tuple([(e + k, c * a) for e, a in x]) for x in row])
+
+    @staticmethod
+    def add(x, y):
+        if not x:
+            return y
+        if not y:
+            return x
+        acc = dict(x)
+        for e, a in y:
+            acc[e] = acc.get(e, 0) + a
+        return tuple(sorted([t for t in acc.items() if t[1]]))
+
+    @staticmethod
+    def add_rows(r1, r2):
+        add = LaurentRing.add
+        return tuple([add(x, y) if x and y else x or y for x, y in zip(r1, r2)])
+
+    @staticmethod
+    def conj(x):
+        return tuple([(-e, a) for e, a in reversed(x)])
+
+    @staticmethod
+    def row_ok(row, coeff_limit: int, exp_limit: int) -> bool:
+        """Every coefficient within +-coeff_limit, every exponent within +-exp_limit."""
+        for x in row:
+            for e, c in x:
+                if c > coeff_limit or c < -coeff_limit or e > exp_limit or e < -exp_limit:
+                    return False
         return True
 
     def __str__(self):

@@ -9,11 +9,14 @@ returned, and a witness that fails raises instead.
 
 The search is a breadth-first walk over products P of monomial scalings,
 swaps and monomial transvections, run on the packed payloads of the
-ring elements.  Each state carries (P, B, v) with B = P A0 P* and
+ring elements; it asks the ring descriptor (``groupring.CyclicRing`` or
+``groupring.LaurentRing``) for the payload arithmetic, so no payload
+rule lives here.  Each state carries (P, B, v) with B = P A0 P* and
 v = P z0.  A state's B and v are derived from its parent's when the
 state is popped, by updating one row and one column, so the goal test
 B == A1 (and v == z1 when pointed) needs no matrix product.  States are
-deduplicated on P.
+deduplicated on P.  The search takes only a node budget; the entry-growth
+limits are the module constants ``COEFF_LIMIT`` and ``EXP_LIMIT``.
 """
 
 from __future__ import annotations
@@ -32,10 +35,9 @@ from .errors import (
     WitnessVerificationFailed,
 )
 from .groupring import (
+    MAX_CYCLIC_ORDER,
     CyclicRing,
     GroupRingElem,
-    LaurentElem,
-    LaurentRing,
     Ring,
     element_from_json,
     element_to_json,
@@ -47,10 +49,10 @@ from .intlattice import Matrix, freeze_matrix, integer_det, mat_vec
 #: Default node budget of the congruence search.
 DEFAULT_BUDGET = 10**6
 
-#: Default growth limits pruning the search space (entries of candidate
-#: matrices): max absolute coefficient, and max |exponent| in the Laurent case.
-DEFAULT_COEFF_LIMIT = 16
-DEFAULT_EXP_LIMIT = 8
+#: Growth limits pruning the search space (entries of candidate matrices):
+#: max absolute coefficient, and max |exponent| in the Laurent case.
+COEFF_LIMIT = 16
+EXP_LIMIT = 8
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +212,6 @@ class EquivariantIntegerForm:
     t_action: Matrix
     order: int = field(init=False, repr=False, compare=False)
 
-    _MAX_ORDER = 4096
-
     def __post_init__(self):
         q = freeze_matrix(self.q)
         t = freeze_matrix(self.t_action)
@@ -227,9 +227,9 @@ class EquivariantIntegerForm:
         while power != ident:
             power = intlattice.mat_mul(power, t)
             order += 1
-            if order > self._MAX_ORDER:
+            if order > MAX_CYCLIC_ORDER:
                 raise InvalidForm(
-                    f"action has no order up to {self._MAX_ORDER}; not a finite symmetry"
+                    f"action has no order up to {MAX_CYCLIC_ORDER}; not a finite symmetry"
                 )
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "t_action", t)
@@ -371,204 +371,43 @@ def _determinant_refutation(form0: HermitianForm, form1: HermitianForm) -> str |
     return None
 
 
-def _generators(ring: Ring, m: int):
-    """Fixed-order generator list: monomial scalings, swaps, transvections."""
-    if isinstance(ring, CyclicRing):
-        unit_params = [(k, c) for k in range(ring.d) for c in (1, -1)]
-        monomial_exps = range(ring.d)
-    else:
-        unit_params = [(k, c) for k in range(-2, 3) for c in (1, -1)]
-        monomial_exps = range(-2, 3)
-    gens = []
-    for i in range(m):
-        for k, c in unit_params:
-            if k == 0 and c == 1:
-                continue
-            gens.append(("scale", i, ring.monomial(k, c)))
-    for i in range(m):
-        for j in range(i + 1, m):
-            gens.append(("swap", i, j))
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            for c in (1, -1, 2, -2):
-                for k in monomial_exps:
-                    gens.append(("add", i, j, ring.monomial(k, c)))
-    return gens
-
-
-def _apply_generator(gen, p):
-    kind = gen[0]
-    if kind == "scale":
-        _, i, u = gen
-        return tuple(
-            tuple(u * v for v in row) if r == i else row for r, row in enumerate(p)
-        )
-    if kind == "swap":
-        _, i, j = gen
-        rows = list(p)
-        rows[i], rows[j] = rows[j], rows[i]
-        return tuple(rows)
-    _, i, j, w = gen
-    return tuple(
-        tuple(v + w * u for v, u in zip(row, p[j])) if r == i else row
-        for r, row in enumerate(p)
-    )
-
-
-# ---------------------------------------------------------------------------
-# packed payloads
-#
-# The search runs on the raw payloads of ring elements instead of on the
-# elements: ``GroupRingElem.coeffs`` (a dense length-d tuple) and
-# ``LaurentElem.terms`` (sorted (exponent, coefficient) pairs, no zeros).
-# Both are canonical, so payload equality is element equality.  A monomial
-# c * T^k travels as the pair (k, c).  Every generator is a monomial move,
-# so "monomial * payload" and "payload + payload" are the only products
-# the search needs.
-
 _SCALE, _SWAP, _ADD = "scale", "swap", "add"
 
 
-class _Payloads:
-    """Matrix packing and single-entry products shared by both payload kinds."""
+def _generators(ring: Ring, m: int):
+    """The packed generator table and its number of scaled-row slots.
 
-    def pack_matrix(self, rows) -> tuple:
-        return tuple(tuple(self.pack(x) for x in row) for row in rows)
-
-    def unpack_matrix(self, p) -> tuple:
-        return tuple(tuple(self.unpack(x) for x in row) for row in p)
-
-    def mono_mul(self, w, x):
-        return self.scale_row(w, (x,))[0]
-
-
-class _CyclicPayloads(_Payloads):
-    """Z[Z_d]: dense length-d coefficient tuples."""
-
-    def __init__(self, d: int):
-        self.d = d
-
-    def pack(self, value) -> tuple:
-        return value.coeffs
-
-    def unpack(self, x):
-        return GroupRingElem(self.d, x)
-
-    def monomial(self, value) -> tuple[int, int]:
-        k = next(k for k, c in enumerate(value.coeffs) if c)
-        return k, value.coeffs[k]
-
-    def scale_row(self, w, row):
-        k, c = w
-        s = self.d - k  # c * T^k moves the coefficient of T^i to T^(i+k)
-        if c == 1:
-            return tuple([x[s:] + x[:s] for x in row])
-        return tuple([tuple([c * a for a in x[s:] + x[:s]]) for x in row])
-
-    @staticmethod
-    def add(x, y):
-        return tuple(map(int.__add__, x, y))
-
-    @staticmethod
-    def add_rows(r1, r2):
-        return tuple([tuple(map(int.__add__, x, y)) for x, y in zip(r1, r2)])
-
-    @staticmethod
-    def conj(x):
-        return x[:1] + x[:0:-1]
-
-    @staticmethod
-    def row_ok(row, coeff_limit: int, exp_limit: int) -> bool:
-        for x in row:
-            for c in x:
-                if c > coeff_limit or c < -coeff_limit:
-                    return False
-        return True
-
-
-class _LaurentPayloads(_Payloads):
-    """Z[t, t^-1]: sorted (exponent, coefficient) pairs without zeros."""
-
-    @staticmethod
-    def pack(value) -> tuple:
-        return value.terms
-
-    @staticmethod
-    def unpack(x):
-        return LaurentElem(x)
-
-    @staticmethod
-    def monomial(value) -> tuple[int, int]:
-        return value.terms[0]
-
-    @staticmethod
-    def scale_row(w, row):
-        k, c = w
-        if c == 1:
-            return tuple([tuple([(e + k, a) for e, a in x]) for x in row])
-        return tuple([tuple([(e + k, c * a) for e, a in x]) for x in row])
-
-    @staticmethod
-    def add(x, y):
-        if not x:
-            return y
-        if not y:
-            return x
-        acc = dict(x)
-        for e, a in y:
-            acc[e] = acc.get(e, 0) + a
-        return tuple(sorted([t for t in acc.items() if t[1]]))
-
-    def add_rows(self, r1, r2):
-        add = self.add
-        return tuple([add(x, y) if x and y else x or y for x, y in zip(r1, r2)])
-
-    @staticmethod
-    def conj(x):
-        return tuple([(-e, a) for e, a in reversed(x)])
-
-    @staticmethod
-    def row_ok(row, coeff_limit: int, exp_limit: int) -> bool:
-        for x in row:
-            for e, c in x:
-                if c > coeff_limit or c < -coeff_limit or e > exp_limit or e < -exp_limit:
-                    return False
-        return True
-
-
-def _payloads(ring: Ring):
-    if isinstance(ring, CyclicRing):
-        return _CyclicPayloads(ring.d)
-    return _LaurentPayloads()
-
-
-def _pack_generators(ring: Ring, m: int, ops):
-    """``_generators`` in packed form, in the same order.
-
-    A transvection row_i += w * row_j carries the slot of the scaled row
-    w * row_j; a scaling by u shares the slot of (row_i, u), so each node
-    scales each row by each monomial at most once.
+    In fixed order: monomial scalings ("scale", i, i, (k, c), slot), swaps
+    ("swap", i, j) and transvections ("add", i, j, (k, c), slot), where
+    (k, c) is the monomial c * T^k.  A transvection row_i += c T^k row_j
+    carries the slot of the scaled row c T^k row_j; a scaling by c T^k
+    shares the slot of (row_i, (k, c)), so each node scales each row by
+    each monomial at most once.
     """
+    exps = range(ring.d) if isinstance(ring, CyclicRing) else range(-2, 3)
     slots: dict = {}
-    packed = []
-    for gen in _generators(ring, m):
-        if gen[0] == _SWAP:
-            packed.append(gen)
-            continue
-        if gen[0] == _SCALE:
-            _, i, u = gen
-            w, row = ops.monomial(u), i
-        else:
-            _, i, row, u = gen
-            w = ops.monomial(u)
-        slot = slots.setdefault((row, w), len(slots))
-        packed.append((gen[0], i, row, w, slot))
-    return packed, len(slots)
+    gens = []
+    for i in range(m):
+        for w in [(k, c) for k in exps for c in (1, -1)]:
+            if w != (0, 1):
+                gens.append((_SCALE, i, i, w, slots.setdefault((i, w), len(slots))))
+    for i in range(m):
+        for j in range(i + 1, m):
+            gens.append((_SWAP, i, j))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                for w in [(k, c) for c in (1, -1, 2, -2) for k in exps]:
+                    gens.append((_ADD, i, j, w, slots.setdefault((j, w), len(slots))))
+    return gens, len(slots)
 
 
-def _child_form(gen, b, v, ops):
+def _pack_matrix(ring: Ring, rows) -> tuple:
+    pack = ring.pack
+    return tuple(tuple(map(pack, row)) for row in rows)
+
+
+def _child_form(gen, b, v, ring: Ring):
     """(E B E*, E v) for the elementary matrix E of a packed generator.
 
     Scaling row i by u changes row i and column i of B and keeps B_ii,
@@ -586,21 +425,23 @@ def _child_form(gen, b, v, ops):
         if v is not None:
             v = tuple(v[r] for r in perm)
         return b, v
-    mono_mul, add, conj = ops.mono_mul, ops.add, ops.conj
+    scale_row, add, conj = ring.scale_row, ring.add, ring.conj
     _, i, j, w, _ = gen
     if kind == _SCALE:
-        row = list(ops.scale_row(w, b[i]))
+        row = list(scale_row(w, b[i]))
         row[i] = b[i][i]
         if v is not None:
-            v = v[:i] + (mono_mul(w, v[i]),) + v[i + 1:]
+            v = v[:i] + scale_row(w, (v[i],)) + v[i + 1:]
     else:
-        wb = ops.scale_row(w, b[j])
-        row = list(ops.add_rows(b[i], wb))
+        wb = scale_row(w, b[j])
+        row = list(ring.add_rows(b[i], wb))
         # B'_ii = B_ii + w B_ji + conj(w B_ji) + w conj(w) B_jj
         c = w[1]
-        row[i] = add(add(row[i], conj(wb[i])), mono_mul((0, c * c), b[j][j]))
+        (cc_bjj,) = scale_row((0, c * c), (b[j][j],))
+        row[i] = add(add(row[i], conj(wb[i])), cc_bjj)
         if v is not None:
-            v = v[:i] + (add(v[i], mono_mul(w, v[j])),) + v[i + 1:]
+            (wv,) = scale_row(w, (v[j],))
+            v = v[:i] + (add(v[i], wv),) + v[i + 1:]
     row = tuple(row)
     b = tuple(
         row if r == i else b[r][:i] + (conj(row[r]),) + b[r][i + 1:] for r in range(m)
@@ -608,14 +449,14 @@ def _child_form(gen, b, v, ops):
     return b, v
 
 
-def _expand(p, gens, n_slots: int, ops, coeff_limit: int, exp_limit: int):
+def _expand(p, gens, n_slots: int, ring: Ring):
     """Yield (generator, E P) for each packed generator whose child keeps
     within the growth limits, in generator order.
 
     P is within the limits and a child differs from it in one row at
     most, so only that row is checked.
     """
-    scale_row, add_rows, row_ok = ops.scale_row, ops.add_rows, ops.row_ok
+    scale_row, add_rows, row_ok = ring.scale_row, ring.add_rows, ring.row_ok
     scaled = [None] * n_slots
     for gen in gens:
         kind, i = gen[0], gen[1]
@@ -631,17 +472,12 @@ def _expand(p, gens, n_slots: int, ops, coeff_limit: int, exp_limit: int):
             row = scaled[slot] = scale_row(gen[3], p[gen[2]])
         if kind == _ADD:
             row = add_rows(p[i], row)
-        if row_ok(row, coeff_limit, exp_limit):
+        if row_ok(row, COEFF_LIMIT, EXP_LIMIT):
             yield gen, p[:i] + (row,) + p[i + 1:]
 
 
 def _congruence_bfs(
-    form0: HermitianForm,
-    form1: HermitianForm,
-    budget: int,
-    coeff_limit: int,
-    exp_limit: int,
-    point=None,
+    form0: HermitianForm, form1: HermitianForm, budget: int, point=None
 ) -> CongruenceOutcome:
     """Breadth-first search over products of the generators.
 
@@ -654,18 +490,13 @@ def _congruence_bfs(
     """
     ring = form0.ring
     m = form0.size
-    ops = _payloads(ring)
-    gens, n_slots = _pack_generators(ring, m, ops)
-    start = ops.pack_matrix(ring_identity(ring, m))
-    a1 = ops.pack_matrix(form1.matrix)
-    b0 = ops.pack_matrix(form0.matrix)
+    gens, n_slots = _generators(ring, m)
+    start = _pack_matrix(ring, ring_identity(ring, m))
+    a1 = _pack_matrix(ring, form1.matrix)
+    b0 = _pack_matrix(ring, form0.matrix)
     v0 = z1 = None
     if point is not None:
-        v0, z1 = ops.pack_matrix(point)
-    if not all(ops.row_ok(row, coeff_limit, exp_limit) for row in start):
-        # Every child of the identity has an entry +-T^k, which breaks
-        # the limits whenever the identity does: only the start is explored.
-        gens = []
+        v0, z1 = _pack_matrix(ring, point)
     queue = deque([(start, b0, v0, None)])
     seen = {start}
     nodes = 0
@@ -677,14 +508,14 @@ def _congruence_bfs(
         p, b, v, made_by = queue.popleft()
         nodes += 1
         if made_by is not None:
-            b, v = _child_form(made_by, b, v, ops)
+            b, v = _child_form(made_by, b, v, ring)
         if b == a1 and v == z1:
             return CongruenceOutcome(
                 SEARCH_FOUND,
-                witness=_verified_witness(p, ops, form0, form1, point),
+                witness=_verified_witness(p, form0, form1, point),
                 nodes_explored=nodes,
             )
-        for gen, child in _expand(p, gens, n_slots, ops, coeff_limit, exp_limit):
+        for gen, child in _expand(p, gens, n_slots, ring):
             size = len(seen)
             seen.add(child)
             if len(seen) != size:
@@ -696,9 +527,10 @@ def _congruence_bfs(
     )
 
 
-def _verified_witness(p, ops, form0: HermitianForm, form1: HermitianForm, point):
+def _verified_witness(p, form0: HermitianForm, form1: HermitianForm, point):
     """Unpack a packed witness and re-verify it exactly; raise if it fails."""
-    witness = ops.unpack_matrix(p)
+    unpack = form0.ring.unpack
+    witness = tuple(tuple(map(unpack, row)) for row in p)
     if not verify_congruence(witness, form0, form1):
         raise WitnessVerificationFailed("search witness fails P A0 conj(P)^T == A1")
     if point is not None and ring_mat_vec(witness, point[0], form0.ring) != point[1]:
@@ -729,7 +561,7 @@ def _divisibility_refutation(
     return None
 
 
-def _search(form0, form1, budget, coeff_limit, exp_limit, pointed=None):
+def _search(form0, form1, budget, pointed=None):
     """Refute, then search: the one path behind both public searches.
 
     Refutations run in a fixed order and the first that fires decides:
@@ -745,16 +577,13 @@ def _search(form0, form1, budget, coeff_limit, exp_limit, pointed=None):
     if reason:
         return CongruenceOutcome(SEARCH_DISPROVEN, reason=reason)
     point = None if pointed is None else (pointed[0].z, pointed[1].z)
-    return _congruence_bfs(form0, form1, budget, coeff_limit, exp_limit, point)
+    return _congruence_bfs(form0, form1, budget, point)
 
 
 def congruence_search(
     form0: HermitianForm,
     form1: HermitianForm,
     budget: int = DEFAULT_BUDGET,
-    *,
-    coeff_limit: int = DEFAULT_COEFF_LIMIT,
-    exp_limit: int = DEFAULT_EXP_LIMIT,
 ) -> CongruenceOutcome:
     """Decide congruence of two hermitian forms, within a node budget.
 
@@ -763,16 +592,13 @@ def congruence_search(
     breadth-first search over products of monomial scalings, swaps and
     bounded transvections.  Deterministic for a fixed budget.
     """
-    return _search(form0, form1, budget, coeff_limit, exp_limit)
+    return _search(form0, form1, budget)
 
 
 def pointed_congruence_search(
     pointed0: PointedHermitianForm,
     pointed1: PointedHermitianForm,
     budget: int = DEFAULT_BUDGET,
-    *,
-    coeff_limit: int = DEFAULT_COEFF_LIMIT,
-    exp_limit: int = DEFAULT_EXP_LIMIT,
 ) -> CongruenceOutcome:
     """As :func:`congruence_search`, requiring additionally P z0 = z1.
 
@@ -780,6 +606,4 @@ def pointed_congruence_search(
     augmentation vector, so pointed pairs whose augmented divisibilities
     differ are disproven outright.
     """
-    return _search(
-        pointed0.form, pointed1.form, budget, coeff_limit, exp_limit, (pointed0, pointed1)
-    )
+    return _search(pointed0.form, pointed1.form, budget, (pointed0, pointed1))

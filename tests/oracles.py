@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths it checks: signatures
 come from Sturm-sequence root counting on the characteristic polynomial,
 characteristic classes from brute force over (Z/2)^n, group-ring units
-from an exhaustive bounded inverse search, and the existence criteria
-from a literal Fraction evaluation of the two defining conditions.
+from an exhaustive bounded inverse search, the existence criteria
+from a literal Fraction evaluation of the two defining conditions, and
+the congruence-search generators from element products, with sums and
+conjugates formed outside the packed ring arithmetic.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 import sympy
 
+from spherecalc.groupring import GroupRingElem, LaurentElem
 from spherecalc.intlattice import identity_matrix, mat_mul, transpose
 
 
@@ -117,6 +120,45 @@ def units_by_bounded_inverse_search(d, box=2, inv_bound=10):
         if (products == target).all(axis=1).any():
             units.add(u)
     return units
+
+
+def element_sum(x, y):
+    """x + y without the ring's payload addition.
+
+    Cyclic payloads are added coordinatewise; Laurent terms are
+    concatenated and left to the constructor, which merges exponents.
+    """
+    if isinstance(x, GroupRingElem):
+        return GroupRingElem(x.d, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
+    return LaurentElem(x.terms + y.terms)
+
+
+def element_conj(x):
+    """T -> T^-1 read off the definition, coefficient by coefficient."""
+    if isinstance(x, GroupRingElem):
+        return GroupRingElem(x.d, tuple(x.coeffs[(-k) % x.d] for k in range(x.d)))
+    return LaurentElem(tuple((-e, c) for e, c in x.terms))
+
+
+def apply_generator(gen, p, ring):
+    """E P for a packed search generator, in element arithmetic.
+
+    ``gen`` is an entry of ``hermitian._generators``: ("scale", i, i,
+    (k, c), slot), ("swap", i, j) or ("add", i, j, (k, c), slot), where
+    (k, c) stands for the monomial c * T^k.
+    """
+    kind, i = gen[0], gen[1]
+    if kind == "swap":
+        rows = list(p)
+        rows[i], rows[gen[2]] = rows[gen[2]], rows[i]
+        return tuple(rows)
+    _, i, j, (k, c), _ = gen
+    w = ring.monomial(k, c)
+    if kind == "scale":
+        new_row = tuple(w * v for v in p[i])
+    else:
+        new_row = tuple(element_sum(v, w * u) for v, u in zip(p[i], p[j]))
+    return p[:i] + (new_row,) + p[i + 1:]
 
 
 # ---------------------------------------------------------------------------

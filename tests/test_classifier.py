@@ -442,7 +442,7 @@ METAMORPHIC_MANIFOLDS = (
     ("[[0,1],[1,0]]#CP2", 0), ("H#H", 1), ("CP2#CP2#CP2#diag(-1,-1)", 1),
     ("H#H#H", 0), ("E8", 1), ("E8#H", 0), ("CP2#E8#diag(-1,-1,-1)", 0),
     ("E8#E8#H#H#H", 0), ("diag(" + ",".join(["1"] * 3 + ["-1"] * 19) + ")", 1),
-    ("diag(1,-1,-1)", 0), ("CP2#diag(-1,-1,-1,-1)", 1),
+    ("diag(1,-1,-1)", 0), ("CP2#diag(-1,-1,-1,-1)", 1), ("CP2#CP2#CP2", 0),
 )
 
 
@@ -495,4 +495,6 @@ def test_existence_and_uniqueness_survive_reversed_orientation(literal, ks):
     reversed_ = FourManifold(IntersectionForm(tuple(tuple(-v for v in r) for r in rows)), ks)
     for x in random_classes(rng, rows, 60):
         a, b = classify(manifold, x), classify(reversed_, x)
-        assert (a.exists, a.reasons, a.uniqueness) == (b.exists, b.reasons, b.uniqueness)
+        assert (a.exists, a.reasons, a.uniqueness, a.citations) == (
+            b.exists, b.reasons, b.uniqueness, b.citations
+        )

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 import json
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spherecalc import __version__, classifier, cli
 from spherecalc.classifier import DETERMINED_BY_FORM, EXISTS_BY_DEFINITION
@@ -474,6 +477,37 @@ def test_form_input_errors_exit_without_traceback(capsys, argv, code, reason):
     assert reason in err
 
 
+@pytest.mark.parametrize("ring", ["Z4097", "cyclic:4097", "Z10000000000000"])
+def test_cyclic_order_above_the_limit_is_parse_error(capsys, ring):
+    # Z[Z_d] elements store d coefficients: a huge order must not allocate
+    code, _, err = run(capsys, "form", "augment", "--ring", ring, "--a", "[[1]]")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "4096" in err
+
+
+def test_cyclic_order_at_the_limit_is_accepted(capsys):
+    code, out, _ = run(capsys, "form", "augment", "--ring", "Z4096", "--a", "[[1, 2], [2, 0]]")
+    assert code == 0
+    assert json.loads(out) == {"result": [[1, 2], [2, 0]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--manifold", "CP2", "--class", "[" * 100_000],
+        ["classify", "--manifold", "[" * 100_000, "--class", "[1]"],
+        ["form", "extend", "--ring", "Z2", "--a", "[" * 100_000],
+    ],
+    ids=["class", "manifold", "matrix"],
+)
+def test_deeply_nested_json_is_parse_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "nests too deeply" in err
+
+
 def test_empty_diag_entry_is_parse_error(capsys):
     code, _, err = run(capsys, "classify", "--manifold", "diag(1,,2)", "--class", "[1,0]")
     assert code == 2
@@ -504,6 +538,101 @@ def test_parser_fuzz_raises_only_parse_errors():
                 fn(text)
             except ParseError:
                 pass
+
+
+# Grammar-shaped inputs for the fuzz below.  Orders stay <= 64 and matrices
+# <= 3x3 so that no example allocates much or runs for long.
+_NOISE = st.text(alphabet="[]()0123456789tT^+-*,# \"'aZEHCPdig:", max_size=20)
+_SMALL = st.integers(-3, 3)
+_RINGS = st.one_of(
+    st.sampled_from(["laurent", "Z", "Z-1", "cyclic:", "Zx", "", " Z2 "]),
+    st.integers(0, 64).map(lambda d: f"Z{d}"),
+    st.integers(0, 64).map(lambda d: f"cyclic:{d}"),
+)
+_TERMS = st.tuples(_SMALL, st.sampled_from(["", "T", "t"]), _SMALL).map(
+    lambda t: f"{t[0]:+d}{t[1]}^{t[2]}" if t[1] else f"{t[0]:+d}"
+)
+_POLYS = st.one_of(
+    st.lists(_TERMS, min_size=1, max_size=3).map("".join),
+    st.lists(_TERMS, min_size=1, max_size=3).map("".join),
+    st.lists(_TERMS, min_size=1, max_size=3).map(" + ".join),
+    _NOISE,
+)
+_ENTRIES = st.one_of(_POLYS, _POLYS.map(lambda p: f'"{p}"'))
+
+
+@st.composite
+def _form_literals(draw):
+    n = draw(st.integers(0, 3))
+    rows = []
+    for _ in range(n):
+        width = draw(st.sampled_from([n, n, n - 1]))  # now and then ragged
+        rows.append("[" + ", ".join(draw(_ENTRIES) for _ in range(width)) + "]")
+    return "[" + ", ".join(rows) + "]"
+
+
+_BAD_ENTRIES = st.sampled_from([True, "1", 1.5, None, []])
+
+
+def _square(entries):
+    return st.integers(0, 3).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+# a branch listed twice is drawn twice as often
+_INT_MATRICES = st.one_of(
+    _square(_SMALL).map(json.dumps),
+    _square(_SMALL).map(json.dumps),
+    _square(st.one_of(_SMALL, _BAD_ENTRIES)).map(json.dumps),
+    st.lists(st.lists(_SMALL, max_size=3), max_size=3).map(json.dumps),
+    _NOISE,
+)
+_MANIFOLDS = st.lists(
+    st.one_of(
+        st.sampled_from(["CP2", "H", "E8", "diag(1,-1)", "diag()", "diag(1,,2)", ""]),
+        _INT_MATRICES,
+    ),
+    min_size=1,
+    max_size=3,
+).map("#".join)
+_CLASSES = st.one_of(
+    st.lists(_SMALL, min_size=1, max_size=3).map(json.dumps),
+    st.lists(_SMALL, max_size=12).map(json.dumps),
+    _NOISE,
+)
+
+_FUZZ_COMMANDS = st.one_of(
+    st.tuples(_MANIFOLDS, _CLASSES).map(
+        lambda a: ["classify", f"--manifold={a[0]}", f"--class={a[1]}"]
+    ),
+    st.tuples(st.sampled_from(["augment", "nonsingular"]), _RINGS, _form_literals()).map(
+        lambda a: ["form", a[0], f"--ring={a[1]}", f"--a={a[2]}"]
+    ),
+    st.tuples(_RINGS, _INT_MATRICES).map(
+        lambda a: ["form", "extend", f"--ring={a[0]}", f"--a={a[1]}"]
+    ),
+    st.tuples(_INT_MATRICES, _INT_MATRICES, _INT_MATRICES).map(
+        lambda a: ["form", "build-equivariant", f"--q={a[0]}", f"--t={a[1]}", f"--basis={a[2]}"]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_FUZZ_COMMANDS)
+def test_cli_contract_holds_on_fuzzed_literals(argv):
+    # exit 0, 1 or 2, an ``error:`` line on failure, and no traceback;
+    # argparse's own usage errors leave by SystemExit(2)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error:")
 
 
 def test_main_survives_malformed_inputs(capsys):

@@ -236,14 +236,17 @@ def test_isometry_indefinite_decided_by_invariants():
     assert res.verdict == intlattice.ISO_YES
 
 
-def test_isometry_definite_search_finds_witness():
+def test_isometry_identical_definite_forms_get_the_identity_witness():
+    # u is a rotation of Z^2, an automorphism: U^T Q U is Q entry for entry
     rng = random.Random(5)
     base = ((1, 0), (0, 1))
     u = oracles.random_unimodular(rng, 2, ops=4, coeff=1)
     q2 = oracles.conjugate_form(base, u)
+    assert q2 == base
     res = is_isometric(base, q2)
     assert res.verdict == intlattice.ISO_YES
     p = res.witness
+    assert p == intlattice.identity_matrix(2)
     assert mat_mul(mat_mul(transpose(p), base), p) == q2
 
 
