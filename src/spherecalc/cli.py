@@ -40,14 +40,19 @@ _BUILTIN_MATRICES = {
 
 def resolve_budget(cli_value: int | None) -> int:
     if cli_value is not None:
+        if cli_value < 0:
+            raise ParseError("--budget must be nonnegative")
         return cli_value
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from exc
-    return hermitian.DEFAULT_BUDGET
+    if env is None:
+        return hermitian.DEFAULT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError as exc:
+        raise ParseError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from exc
+    if budget < 0:
+        raise ParseError(f"{BUDGET_ENV_VAR} must be nonnegative, got {env!r}")
+    return budget
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,15 @@ ring elements; it asks the ring descriptor (``groupring.CyclicRing`` or
 ``groupring.LaurentRing``) for the payload arithmetic, so no payload
 rule lives here.  Each state carries (P, B, v) with B = P A0 P* and
 v = P z0.  A state's B and v are derived from its parent's when the
-state is popped, by updating one row and one column, so the goal test
-B == A1 (and v == z1 when pointed) needs no matrix product.  States are
-deduplicated on P.  The search takes only a node budget; the entry-growth
-limits are the module constants ``COEFF_LIMIT`` and ``EXP_LIMIT``.
+state is popped, by updating one row and one column, so comparing forms
+needs no matrix product.  A state's children depend only on (B, v), so
+the search deduplicates on (B, v): a form is expanded once, and the
+first P to reach it stays its witness.  The walk runs from both ends at
+once, forward from (A0, z0) and backward from (A1, z1) with the same
+generators, whose table is closed under inverses; when the sides reach
+a common form with P and Q, the witness is Q^-1 P.  The search takes
+only a node budget; the entry-growth limits are the module constants
+``COEFF_LIMIT`` and ``EXP_LIMIT``, applied to P and Q alike.
 """
 
 from __future__ import annotations
@@ -449,6 +454,19 @@ def _child_form(gen, b, v, ring: Ring):
     return b, v
 
 
+def _apply(gen, p, ring: Ring):
+    """E P for one packed generator E, without a growth check."""
+    rows = list(p)
+    if gen[0] == _SWAP:
+        i, j = gen[1], gen[2]
+        rows[i], rows[j] = rows[j], rows[i]
+    else:
+        _, i, j, w, _ = gen
+        row = ring.scale_row(w, p[j])
+        rows[i] = ring.add_rows(p[i], row) if gen[0] == _ADD else row
+    return tuple(rows)
+
+
 def _expand(p, gens, n_slots: int, ring: Ring):
     """Yield (generator, E P) for each packed generator whose child keeps
     within the growth limits, in generator order.
@@ -461,10 +479,7 @@ def _expand(p, gens, n_slots: int, ring: Ring):
     for gen in gens:
         kind, i = gen[0], gen[1]
         if kind == _SWAP:
-            j = gen[2]
-            rows = list(p)
-            rows[i], rows[j] = rows[j], rows[i]
-            yield gen, tuple(rows)
+            yield gen, _apply(gen, p, ring)
             continue
         slot = gen[4]
         row = scaled[slot]
@@ -476,53 +491,113 @@ def _expand(p, gens, n_slots: int, ring: Ring):
             yield gen, p[:i] + (row,) + p[i + 1:]
 
 
-def _congruence_bfs(
+def _inverses(gens, ring: Ring) -> dict:
+    """Map each packed generator to the entry of its inverse in ``gens``.
+
+    The table is closed under inverses: scaling by c T^k is undone by
+    c T^-k (exponent taken mod d over a cyclic ring), a swap by itself,
+    and the transvection row_i += c T^k row_j by row_i += -c T^k row_j.
+    """
+    entries = {gen[:4]: gen for gen in gens}
+
+    def inverse(gen):
+        if gen[0] == _SWAP:
+            return gen
+        kind, i, j, (k, c), _ = gen
+        if kind == _ADD:
+            return entries[kind, i, j, (k, -c)]
+        k = -k % ring.d if isinstance(ring, CyclicRing) else -k
+        return entries[kind, i, j, (k, c)]
+
+    return {gen: inverse(gen) for gen in gens}
+
+
+def _path(reached: dict, key) -> list:
+    """The generators leading from a side's start form to ``key``, last first."""
+    gens = []
+    while (link := reached[key]) is not None:
+        key, gen = link
+        gens.append(gen)
+    return gens
+
+
+def _bidirectional_search(
     form0: HermitianForm, form1: HermitianForm, budget: int, point=None
 ) -> CongruenceOutcome:
-    """Breadth-first search over products of the generators.
+    """Breadth-first search from both ends, deduplicated on forms.
 
-    A node is a packed matrix P; the queue holds P with its parent's
-    (B, v) = (P' A0 P'*, P' z0) and the generator that made P, and the
-    node's own (B, v) is derived when it is popped, so children that are
-    never popped cost one row each.  The goal test is B == A1 (and
-    v == z1 when pointed).  Children are deduplicated on P, whose
-    payloads are canonical.
+    The forward side walks (P A0 P*, P z0) from (A0, z0), the backward
+    side (Q A1 Q*, Q z1) from (A1, z1), both with the same generators.  A
+    queue entry holds a packed matrix, its parent's form and the
+    generator that made it; the entry's own form (B, v) is derived when
+    it is popped.  Its children depend only on (B, v), so a form already
+    reached on its side is dropped uncounted, and the first matrix to
+    reach a form stays its witness.  Matrices are still deduplicated on
+    P per side before they are queued.
+
+    Each side records, per reached form, the parent form and the
+    generator that reached it.  When a form popped on one side has been
+    reached on the other, P A0 P* = Q A1 Q* and P z0 = Q z1, so
+    W = Q^-1 P is a witness: P is rebuilt from the forward path, and Q^-1
+    P by applying the inverses of the backward path's generators to P,
+    last generator first.  Both start forms are reached before the first
+    pop, so identical endpoints give the identity at 0 nodes.
+
+    The side with the shorter queue pops next, the forward side on a tie.
+    A node is a distinct form popped on either side, the meeting form
+    included, and ``budget`` bounds their number.  When either side runs
+    out of matrices, its whole orbit within the growth limits was
+    reached without meeting the other end.
     """
     ring = form0.ring
     m = form0.size
     gens, n_slots = _generators(ring, m)
     start = _pack_matrix(ring, ring_identity(ring, m))
-    a1 = _pack_matrix(ring, form1.matrix)
-    b0 = _pack_matrix(ring, form0.matrix)
     v0 = z1 = None
     if point is not None:
         v0, z1 = _pack_matrix(ring, point)
-    queue = deque([(start, b0, v0, None)])
-    seen = {start}
+    ends = [(_pack_matrix(ring, form0.matrix), v0), (_pack_matrix(ring, form1.matrix), z1)]
+    queues = [deque([(start, key, None)]) for key in ends]
+    seen = [{start}, {start}]
+    reached = [{key: None} for key in ends]
+    meet = ends[0] if ends[0] == ends[1] else None
     nodes = 0
-    while queue:
+    while meet is None:
+        if not queues[0] or not queues[1]:
+            return CongruenceOutcome(
+                SEARCH_NOT_FOUND,
+                reason="generator orbit exhausted within the entry-growth limits",
+                nodes_explored=nodes,
+            )
         if nodes >= budget:
             return CongruenceOutcome(
                 SEARCH_NOT_FOUND, reason="node budget exhausted", nodes_explored=nodes
             )
-        p, b, v, made_by = queue.popleft()
-        nodes += 1
+        side = 1 if len(queues[1]) < len(queues[0]) else 0
+        p, key, made_by = queues[side].popleft()
         if made_by is not None:
-            b, v = _child_form(made_by, b, v, ring)
-        if b == a1 and v == z1:
-            return CongruenceOutcome(
-                SEARCH_FOUND,
-                witness=_verified_witness(p, form0, form1, point),
-                nodes_explored=nodes,
-            )
-        for gen, child in _expand(p, gens, n_slots, ring):
-            size = len(seen)
-            seen.add(child)
-            if len(seen) != size:
-                queue.append((child, b, v, gen))
+            parent, key = key, _child_form(made_by, *key, ring)
+            if key in reached[side]:
+                continue
+            reached[side][key] = (parent, made_by)
+        nodes += 1
+        if key in reached[1 - side]:
+            meet = key
+        else:
+            for gen, child in _expand(p, gens, n_slots, ring):
+                size = len(seen[side])
+                seen[side].add(child)
+                if len(seen[side]) != size:
+                    queues[side].append((child, key, gen))
+    witness = start
+    for gen in reversed(_path(reached[0], meet)):
+        witness = _apply(gen, witness, ring)
+    inverse = _inverses(gens, ring)
+    for gen in _path(reached[1], meet):
+        witness = _apply(inverse[gen], witness, ring)
     return CongruenceOutcome(
-        SEARCH_NOT_FOUND,
-        reason="generator orbit exhausted within the entry-growth limits",
+        SEARCH_FOUND,
+        witness=_verified_witness(witness, form0, form1, point),
         nodes_explored=nodes,
     )
 
@@ -577,7 +652,7 @@ def _search(form0, form1, budget, pointed=None):
     if reason:
         return CongruenceOutcome(SEARCH_DISPROVEN, reason=reason)
     point = None if pointed is None else (pointed[0].z, pointed[1].z)
-    return _congruence_bfs(form0, form1, budget, point)
+    return _bidirectional_search(form0, form1, budget, point)
 
 
 def congruence_search(
@@ -589,8 +664,10 @@ def congruence_search(
 
     Runs the sound refutations first (augmented integer forms, then the
     determinant class where the unit group is fully known), then a
-    breadth-first search over products of monomial scalings, swaps and
-    bounded transvections.  Deterministic for a fixed budget.
+    breadth-first search from both forms over products of monomial
+    scalings, swaps and bounded transvections.  ``nodes_explored`` counts
+    the distinct forms expanded on both sides.  Deterministic for a
+    fixed budget.
     """
     return _search(form0, form1, budget)
 

@@ -3,8 +3,11 @@ import io
 import itertools
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -384,6 +387,22 @@ def test_form_congruent_budget_exhaustion_exits_zero(capsys):
     assert "witness" not in data
 
 
+@pytest.mark.parametrize("flag, env", [(["--budget", "-1"], None), ([], "-1")])
+def test_negative_budget_is_parse_error(capsys, monkeypatch, flag, env):
+    # like --max-abs -1: a negative node budget is rejected, not run
+    if env is None:
+        monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(cli.BUDGET_ENV_VAR, env)
+    code, out, err = run(
+        capsys, "form", "congruent", "--ring", "laurent", "--a", "[[1]]", "--b", "[[1]]", *flag
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "nonnegative" in err
+
+
 def test_form_augment(capsys):
     code, out, _ = run(
         capsys, "form", "augment", "--ring", "laurent", "--a", "[[t+t^-1]]"
@@ -664,6 +683,35 @@ def test_resolve_budget_precedence(monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV_VAR, "not-a-number")
     with pytest.raises(ParseError):
         cli.resolve_budget(None)
+
+
+# ---------------------------------------------------------------------------
+# documented commands
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands():
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    return [
+        line for block in blocks for line in block.splitlines()
+        if line.startswith("spherecalc ")
+    ]
+
+
+def test_readme_lists_cli_examples():
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    assert any(line.startswith("spherecalc form congruent ") for line in commands)
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_cli_example_exits_zero(capsys, monkeypatch, tmp_path, line):
+    monkeypatch.chdir(tmp_path)  # the enumerate example writes --out
+    monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
+    code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+    assert code == 0, err
+    assert out or any(tmp_path.iterdir())
 
 
 def test_version_flag(capsys):

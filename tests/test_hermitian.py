@@ -264,6 +264,19 @@ def test_search_finds_identity_on_equal_forms():
     assert out.witness == ring_identity(L, 4)
 
 
+def test_identical_endpoints_are_found_at_budget_zero():
+    form = extend_integer_form(HH, L)
+    out = congruence_search(form, form, budget=0)
+    assert out == hermitian.CongruenceOutcome(
+        hermitian.SEARCH_FOUND, witness=ring_identity(L, 4), nodes_explored=0
+    )
+    pointed = PointedHermitianForm(FORM_T, (GroupRingElem(2, (2, -1)),))
+    out = pointed_congruence_search(pointed, pointed, budget=0)
+    assert out == hermitian.CongruenceOutcome(
+        hermitian.SEARCH_FOUND, witness=ring_identity(Z2, 1), nodes_explored=0
+    )
+
+
 def test_search_finds_monomial_twist():
     form_h = extend_integer_form(H_MATRIX, L)
     twisted = HermitianForm(
@@ -301,7 +314,7 @@ def test_search_monomial_twist_of_two_hyperbolics():
     assert out.status == hermitian.SEARCH_FOUND
     assert verify_congruence(out.witness, form, target)
     assert out.witness == p  # diag(t, 1, t^-1, 1)
-    assert out.nodes_explored == 1666
+    assert out.nodes_explored == 25
 
 
 def test_search_budget_exhaustion_is_reported():
@@ -335,7 +348,7 @@ def test_search_orbit_exhaustion_without_determinant_refutation():
     out = congruence_search(lam0, lam1)
     assert out.status == hermitian.SEARCH_NOT_FOUND
     assert "orbit exhausted" in out.reason
-    assert out.nodes_explored == 10
+    assert out.nodes_explored == 2
 
 
 def test_search_disproven_by_augmentation_matches_integer_isometry():
@@ -533,6 +546,49 @@ def test_packed_kernel_tracks_element_products_along_random_paths(ring):
                 assert _unpack(ring, (v,))[0] == ring_mat_vec(p, z0, ring)
 
 
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_every_generator_inverse_is_in_the_table(ring):
+    rng = random.Random(f"inverses:{ring}")
+    for m in range(1, 4):
+        gens, _ = hermitian._generators(ring, m)
+        inverse = hermitian._inverses(gens, ring)
+        assert list(inverse) == gens
+        assert set(inverse.values()) == set(gens)
+        p = tuple(tuple(_random_element(rng, ring) for _ in range(m)) for _ in range(m))
+        for gen in gens:
+            there = oracles.apply_generator(gen, p, ring)
+            assert oracles.apply_generator(inverse[gen], there, ring) == p
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_search_finds_random_short_paths_from_both_ends(ring):
+    rng = random.Random(f"meet:{ring}")
+    for m in range(1, 4):
+        gens, _ = hermitian._generators(ring, m)
+        for pointed in (False, True):
+            for _ in range(2):
+                a0 = _random_hermitian(rng, ring, m)
+                p = ring_identity(ring, m)
+                for _ in range(rng.randint(0, 3 if m < 3 else 2)):
+                    p = oracles.apply_generator(rng.choice(gens), p, ring)
+                form0 = HermitianForm(ring, a0)
+                form1 = HermitianForm(
+                    ring, ring_mat_mul(ring_mat_mul(p, a0, ring), conj_transpose(p), ring)
+                )
+                if pointed:
+                    z0 = tuple(_random_element(rng, ring) for _ in range(m))
+                    z1 = ring_mat_vec(p, z0, ring)
+                    out = pointed_congruence_search(
+                        PointedHermitianForm(form0, z0), PointedHermitianForm(form1, z1)
+                    )
+                else:
+                    out = congruence_search(form0, form1)
+                assert out.status == hermitian.SEARCH_FOUND, (ring, m, pointed, out)
+                assert verify_congruence(out.witness, form0, form1)
+                if pointed:
+                    assert ring_mat_vec(out.witness, z0, ring) == z1
+
+
 # ---------------------------------------------------------------------------
 # pointed searches
 
@@ -604,7 +660,7 @@ def test_pointed_nonunit_class_is_honestly_not_found():
     assert p1.primitive
     out = pointed_congruence_search(p0, p1)
     assert out.status == hermitian.SEARCH_NOT_FOUND
-    assert out.nodes_explored == 4
+    assert out.nodes_explored == 5
 
 
 def test_pointed_constraint_filters_witnesses():
