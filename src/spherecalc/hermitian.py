@@ -12,14 +12,16 @@ swaps and monomial transvections, run on the packed payloads of the
 ring elements; it asks the ring descriptor (``groupring.CyclicRing`` or
 ``groupring.LaurentRing``) for the payload arithmetic, so no payload
 rule lives here.  Each state carries (P, B, v) with B = P A0 P* and
-v = P z0.  A state's B and v are derived from its parent's when the
-state is popped, by updating one row and one column, so comparing forms
-needs no matrix product.  A state's children depend only on (B, v), so
-the search deduplicates on (B, v): a form is expanded once, and the
-first P to reach it stays its witness.  The walk runs from both ends at
-once, forward from (A0, z0) and backward from (A1, z1) with the same
-generators, whose table is closed under inverses; when the sides reach
-a common form with P and Q, the witness is Q^-1 P.  The search takes
+v = P z0.  A queue entry is a parent state and one generator; the
+child's B and v are derived from the parent's when the entry is popped,
+by updating one row and one column, so comparing forms needs no matrix
+product, and the child's P is built only if its form is new.  A state's
+children depend only on (B, v), so the search deduplicates on (B, v)
+alone: a form is expanded once, and the first P to reach it stays its
+witness.  The walk runs from both ends at once, forward from (A0, z0)
+and backward from (A1, z1) with the same generators, whose table is
+closed under inverses; when the sides reach a common form with P and
+Q, the witness is Q^-1 P.  The search takes
 only a node budget; the entry-growth limits are the module constants
 ``COEFF_LIMIT`` and ``EXP_LIMIT``, applied to P and Q alike.
 """
@@ -249,9 +251,9 @@ def build_equivariant_form(equiv: EquivariantIntegerForm, basis) -> HermitianFor
     """Assemble the hermitian form of an order-d symmetry on free orbits.
 
     ``basis`` lists m integer vectors whose orbit under the action must
-    span Z^N freely (so m * d = N and the d*m translates are linearly
-    independent); entry (i, j) collects Q(b_i, T^k b_j) as the coefficient
-    of T^(-k).
+    span Z^N freely (so m * d = N and the d*m translates are a Z-basis,
+    of determinant +-1); entry (i, j) collects Q(b_i, T^k b_j) as the
+    coefficient of T^(-k).
     """
     d = equiv.order
     n = len(equiv.q)
@@ -271,8 +273,13 @@ def build_equivariant_form(equiv: EquivariantIntegerForm, basis) -> HermitianFor
             orbit.append(mat_vec(equiv.t_action, orbit[-1]))
         translates.append(orbit)
     span = tuple(zip(*[translates[i][k] for i in range(m) for k in range(d)]))
-    if integer_det(span) == 0:
+    index = abs(integer_det(span))
+    if index == 0:
         raise NotFreeBasis("orbit translates of the basis are linearly dependent")
+    if index != 1:
+        raise NotFreeBasis(
+            f"orbit translates of the basis span a sublattice of index {index}, not Z^{n}"
+        )
     ring = CyclicRing(d)
     q_rows = [list(row) for row in equiv.q]
     rows = []
@@ -380,22 +387,19 @@ _SCALE, _SWAP, _ADD = "scale", "swap", "add"
 
 
 def _generators(ring: Ring, m: int):
-    """The packed generator table and its number of scaled-row slots.
+    """The packed generator table, in fixed order.
 
-    In fixed order: monomial scalings ("scale", i, i, (k, c), slot), swaps
-    ("swap", i, j) and transvections ("add", i, j, (k, c), slot), where
-    (k, c) is the monomial c * T^k.  A transvection row_i += c T^k row_j
-    carries the slot of the scaled row c T^k row_j; a scaling by c T^k
-    shares the slot of (row_i, (k, c)), so each node scales each row by
-    each monomial at most once.
+    Monomial scalings ("scale", i, i, (k, c)), swaps ("swap", i, j) and
+    transvections ("add", i, j, (k, c)), where (k, c) is the monomial
+    c * T^k: a scaling multiplies row i by it, a transvection adds it
+    times row j to row i.
     """
     exps = range(ring.d) if isinstance(ring, CyclicRing) else range(-2, 3)
-    slots: dict = {}
     gens = []
     for i in range(m):
         for w in [(k, c) for k in exps for c in (1, -1)]:
             if w != (0, 1):
-                gens.append((_SCALE, i, i, w, slots.setdefault((i, w), len(slots))))
+                gens.append((_SCALE, i, i, w))
     for i in range(m):
         for j in range(i + 1, m):
             gens.append((_SWAP, i, j))
@@ -403,8 +407,8 @@ def _generators(ring: Ring, m: int):
         for j in range(m):
             if i != j:
                 for w in [(k, c) for c in (1, -1, 2, -2) for k in exps]:
-                    gens.append((_ADD, i, j, w, slots.setdefault((j, w), len(slots))))
-    return gens, len(slots)
+                    gens.append((_ADD, i, j, w))
+    return gens
 
 
 def _pack_matrix(ring: Ring, rows) -> tuple:
@@ -431,7 +435,7 @@ def _child_form(gen, b, v, ring: Ring):
             v = tuple(v[r] for r in perm)
         return b, v
     scale_row, add, conj = ring.scale_row, ring.add, ring.conj
-    _, i, j, w, _ = gen
+    _, i, j, w = gen
     if kind == _SCALE:
         row = list(scale_row(w, b[i]))
         row[i] = b[i][i]
@@ -455,59 +459,37 @@ def _child_form(gen, b, v, ring: Ring):
 
 
 def _apply(gen, p, ring: Ring):
-    """E P for one packed generator E, without a growth check."""
+    """E P for one packed generator E, without a growth check.
+
+    Every row of E P but row ``gen[1]`` is a row of P, so when P is
+    within the growth limits, checking that row checks the whole child.
+    """
     rows = list(p)
     if gen[0] == _SWAP:
         i, j = gen[1], gen[2]
         rows[i], rows[j] = rows[j], rows[i]
     else:
-        _, i, j, w, _ = gen
+        _, i, j, w = gen
         row = ring.scale_row(w, p[j])
         rows[i] = ring.add_rows(p[i], row) if gen[0] == _ADD else row
     return tuple(rows)
 
 
-def _expand(p, gens, n_slots: int, ring: Ring):
-    """Yield (generator, E P) for each packed generator whose child keeps
-    within the growth limits, in generator order.
-
-    P is within the limits and a child differs from it in one row at
-    most, so only that row is checked.
-    """
-    scale_row, add_rows, row_ok = ring.scale_row, ring.add_rows, ring.row_ok
-    scaled = [None] * n_slots
-    for gen in gens:
-        kind, i = gen[0], gen[1]
-        if kind == _SWAP:
-            yield gen, _apply(gen, p, ring)
-            continue
-        slot = gen[4]
-        row = scaled[slot]
-        if row is None:
-            row = scaled[slot] = scale_row(gen[3], p[gen[2]])
-        if kind == _ADD:
-            row = add_rows(p[i], row)
-        if row_ok(row, COEFF_LIMIT, EXP_LIMIT):
-            yield gen, p[:i] + (row,) + p[i + 1:]
-
-
 def _inverses(gens, ring: Ring) -> dict:
-    """Map each packed generator to the entry of its inverse in ``gens``.
+    """Map each packed generator to its inverse, which is in ``gens`` too.
 
-    The table is closed under inverses: scaling by c T^k is undone by
-    c T^-k (exponent taken mod d over a cyclic ring), a swap by itself,
-    and the transvection row_i += c T^k row_j by row_i += -c T^k row_j.
+    Scaling by c T^k is undone by c T^-k (exponent taken mod d over a
+    cyclic ring), a swap by itself, and the transvection
+    row_i += c T^k row_j by row_i += -c T^k row_j.
     """
-    entries = {gen[:4]: gen for gen in gens}
 
     def inverse(gen):
         if gen[0] == _SWAP:
             return gen
-        kind, i, j, (k, c), _ = gen
+        kind, i, j, (k, c) = gen
         if kind == _ADD:
-            return entries[kind, i, j, (k, -c)]
-        k = -k % ring.d if isinstance(ring, CyclicRing) else -k
-        return entries[kind, i, j, (k, c)]
+            return kind, i, j, (k, -c)
+        return kind, i, j, (-k % ring.d if isinstance(ring, CyclicRing) else -k, c)
 
     return {gen: inverse(gen) for gen in gens}
 
@@ -528,12 +510,19 @@ def _bidirectional_search(
 
     The forward side walks (P A0 P*, P z0) from (A0, z0), the backward
     side (Q A1 Q*, Q z1) from (A1, z1), both with the same generators.  A
-    queue entry holds a packed matrix, its parent's form and the
-    generator that made it; the entry's own form (B, v) is derived when
-    it is popped.  Its children depend only on (B, v), so a form already
-    reached on its side is dropped uncounted, and the first matrix to
-    reach a form stays its witness.  Matrices are still deduplicated on
-    P per side before they are queued.
+    queue entry holds a parent's packed matrix, the parent's form and
+    one generator, so expanding a node appends one entry per generator
+    and shares the parent's matrix and form among them.  A child is
+    built only when its entry is popped: its form (B, v) is derived
+    first, and an entry whose form its side has already reached is
+    dropped uncounted; otherwise the child matrix is built and its one
+    changed row checked against the growth limits, and a child outside
+    them is dropped without reaching its form.  Children depend only on
+    (B, v), so the first matrix to reach a form stays its witness.
+    Equal matrices give equal forms, and the queues are first in, first
+    out, so no set of matrices is needed: a later copy of a matrix is
+    dropped as a repeated form, or for the limits that dropped the
+    first copy.
 
     Each side records, per reached form, the parent form and the
     generator that reached it.  When a form popped on one side has been
@@ -545,20 +534,20 @@ def _bidirectional_search(
 
     The side with the shorter queue pops next, the forward side on a tie.
     A node is a distinct form popped on either side, the meeting form
-    included, and ``budget`` bounds their number.  When either side runs
-    out of matrices, its whole orbit within the growth limits was
+    included, and ``budget`` bounds their number.  When either side's
+    queue runs out, its whole orbit within the growth limits was
     reached without meeting the other end.
     """
     ring = form0.ring
     m = form0.size
-    gens, n_slots = _generators(ring, m)
+    gens = _generators(ring, m)
+    row_ok = ring.row_ok
     start = _pack_matrix(ring, ring_identity(ring, m))
     v0 = z1 = None
     if point is not None:
         v0, z1 = _pack_matrix(ring, point)
     ends = [(_pack_matrix(ring, form0.matrix), v0), (_pack_matrix(ring, form1.matrix), z1)]
     queues = [deque([(start, key, None)]) for key in ends]
-    seen = [{start}, {start}]
     reached = [{key: None} for key in ends]
     meet = ends[0] if ends[0] == ends[1] else None
     nodes = 0
@@ -579,16 +568,15 @@ def _bidirectional_search(
             parent, key = key, _child_form(made_by, *key, ring)
             if key in reached[side]:
                 continue
+            p = _apply(made_by, p, ring)
+            if not row_ok(p[made_by[1]], COEFF_LIMIT, EXP_LIMIT):
+                continue
             reached[side][key] = (parent, made_by)
         nodes += 1
         if key in reached[1 - side]:
             meet = key
         else:
-            for gen, child in _expand(p, gens, n_slots, ring):
-                size = len(seen[side])
-                seen[side].add(child)
-                if len(seen[side]) != size:
-                    queues[side].append((child, key, gen))
+            queues[side].extend([(p, key, gen) for gen in gens])
     witness = start
     for gen in reversed(_path(reached[0], meet)):
         witness = _apply(gen, witness, ring)

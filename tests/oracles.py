@@ -144,15 +144,16 @@ def apply_generator(gen, p, ring):
     """E P for a packed search generator, in element arithmetic.
 
     ``gen`` is an entry of ``hermitian._generators``: ("scale", i, i,
-    (k, c), slot), ("swap", i, j) or ("add", i, j, (k, c), slot), where
-    (k, c) stands for the monomial c * T^k.
+    (k, c)), ("swap", i, j) or ("add", i, j, (k, c)), where (k, c) stands
+    for the monomial c * T^k.  Rows are scaled and summed elementwise,
+    never through the packed row operations the search uses.
     """
     kind, i = gen[0], gen[1]
     if kind == "swap":
         rows = list(p)
         rows[i], rows[gen[2]] = rows[gen[2]], rows[i]
         return tuple(rows)
-    _, i, j, (k, c), _ = gen
+    _, i, j, (k, c) = gen
     w = ring.monomial(k, c)
     if kind == "scale":
         new_row = tuple(w * v for v in p[i])

@@ -248,7 +248,7 @@ def test_criterion_7_property_suites():
         (L, ((1, 0), (0, -1))),
     ]:
         form0 = extend_integer_form(base, ring)
-        gens, _ = hermitian._generators(ring, 2)
+        gens = hermitian._generators(ring, 2)
         for _ in range(3):
             p = hermitian.ring_identity(ring, 2)
             for _ in range(2):

@@ -468,6 +468,7 @@ def test_invalid_manifold_form_is_input_error(capsys, manifold, reason):
 
 
 _SWAP = "[[0,1],[1,0]]"
+_ID2 = "[[1,0],[0,1]]"
 
 
 @pytest.mark.parametrize(
@@ -483,10 +484,13 @@ _SWAP = "[[0,1],[1,0]]"
         (["build-equivariant", "--q", _SWAP, "--t", _SWAP, "--basis", "[[1,0]"], 2, "basis"),
         (["build-equivariant", "--q", _SWAP, "--t", _SWAP, "--basis", '[["a",0]]'], 2, "basis"),
         (["build-equivariant", "--q", _SWAP, "--t", _SWAP, "--basis", "[1,0]"], 2, "basis"),
+        (["build-equivariant", "--q", _ID2, "--t", _SWAP, "--basis", "[[2,0]]"], 1, "index 4"),
+        (["build-equivariant", "--q", _ID2, "--t", _SWAP, "--basis", "[[2,1]]"], 1, "index 3"),
     ],
     ids=[
         "congruent-a", "congruent-b", "nonsingular", "augment", "extend",
         "equivariant-q", "equivariant-t", "basis-json", "basis-entry", "basis-flat",
+        "basis-index-4", "basis-index-3",
     ],
 )
 def test_form_input_errors_exit_without_traceback(capsys, argv, code, reason):

@@ -158,6 +158,14 @@ def test_build_rejects_dependent_orbits():
         build_equivariant_form(eq, [(1, 0, 0, 0), (0, 0, 1, 0)])  # same orbit
 
 
+@pytest.mark.parametrize("basis, index", [([(2, 0)], 4), ([(2, 1)], 3)])
+def test_build_rejects_translates_that_span_a_proper_sublattice(basis, index):
+    # independent translates of nonunit determinant are no Z-basis of Z^N
+    eq = EquivariantIntegerForm(((1, 0), (0, 1)), ((0, 1), (1, 0)))
+    with pytest.raises(NotFreeBasis, match=f"index {index}"):
+        build_equivariant_form(eq, basis)
+
+
 def test_equivariant_data_validation():
     with pytest.raises(ValueError, match="preserve"):
         EquivariantIntegerForm(((1, 0), (0, -1)), ((0, 1), (1, 0)))
@@ -392,7 +400,7 @@ def test_found_witnesses_preserve_determinant_class():
     cases = []
     for ring, base in [(Z2, H_MATRIX), (CyclicRing(3), ((1, 0), (0, -1))), (L, H_MATRIX)]:
         form0 = extend_integer_form(base, ring)
-        gens, _ = hermitian._generators(ring, 2)
+        gens = hermitian._generators(ring, 2)
         p = ring_identity(ring, 2)
         for _ in range(2):
             p = oracles.apply_generator(rng.choice(gens), p, ring)
@@ -430,7 +438,7 @@ def test_search_finds_depth_three_witness():
     rng = random.Random(61)
     ring = CyclicRing(2)
     form0 = extend_integer_form(H_MATRIX, ring)
-    gens, _ = hermitian._generators(ring, 2)
+    gens = hermitian._generators(ring, 2)
     p = ring_identity(ring, 2)
     for _ in range(3):
         p = oracles.apply_generator(rng.choice(gens), p, ring)
@@ -497,7 +505,7 @@ def _unpack(ring, p):
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
 def test_packed_arithmetic_matches_elements(ring):
     rng = random.Random(f"payloads:{ring}")
-    gens, _ = hermitian._generators(ring, 2)
+    gens = hermitian._generators(ring, 2)
     monomials = [g[3] for g in gens if g[0] != "swap"]
     for _ in range(200):
         x, y = _random_element(rng, ring), _random_element(rng, ring)
@@ -523,21 +531,27 @@ def test_packed_arithmetic_matches_elements(ring):
 def test_packed_kernel_tracks_element_products_along_random_paths(ring):
     rng = random.Random(f"kernel:{ring}")
     for m in range(1, 5):
-        gens, n_slots = hermitian._generators(ring, m)
+        gens = hermitian._generators(ring, m)
         for _ in range(3):
             a0 = _random_hermitian(rng, ring, m)
             z0 = tuple(_random_element(rng, ring) for _ in range(m))
             p = ring_identity(ring, m)
             b, v = _pack(ring, a0), _pack(ring, (z0,))[0]
             for _ in range(6):
-                children = list(hermitian._expand(_pack(ring, p), gens, n_slots, ring))
-                expected = []
+                packed = _pack(ring, p)
+                kept = []
                 for gen in gens:
                     child = oracles.apply_generator(gen, p, ring)
-                    if _within_limits(child):
-                        expected.append((gen, _pack(ring, child)))
-                assert children == expected
-                gen, child = rng.choice(children)
+                    built = hermitian._apply(gen, packed, ring)
+                    assert built == _pack(ring, child)
+                    # the search checks only the row a generator changes
+                    row_ok = ring.row_ok(
+                        built[gen[1]], hermitian.COEFF_LIMIT, hermitian.EXP_LIMIT
+                    )
+                    assert row_ok == _within_limits(child)
+                    if row_ok:
+                        kept.append(gen)
+                gen = rng.choice(kept)
                 p = oracles.apply_generator(gen, p, ring)
                 b, v = hermitian._child_form(gen, b, v, ring)
                 assert _unpack(ring, b) == ring_mat_mul(
@@ -550,7 +564,7 @@ def test_packed_kernel_tracks_element_products_along_random_paths(ring):
 def test_every_generator_inverse_is_in_the_table(ring):
     rng = random.Random(f"inverses:{ring}")
     for m in range(1, 4):
-        gens, _ = hermitian._generators(ring, m)
+        gens = hermitian._generators(ring, m)
         inverse = hermitian._inverses(gens, ring)
         assert list(inverse) == gens
         assert set(inverse.values()) == set(gens)
@@ -564,12 +578,12 @@ def test_every_generator_inverse_is_in_the_table(ring):
 def test_search_finds_random_short_paths_from_both_ends(ring):
     rng = random.Random(f"meet:{ring}")
     for m in range(1, 4):
-        gens, _ = hermitian._generators(ring, m)
+        gens = hermitian._generators(ring, m)
         for pointed in (False, True):
             for _ in range(2):
                 a0 = _random_hermitian(rng, ring, m)
                 p = ring_identity(ring, m)
-                for _ in range(rng.randint(0, 3 if m < 3 else 2)):
+                for _ in range(rng.randint(0, 3)):
                     p = oracles.apply_generator(rng.choice(gens), p, ring)
                 form0 = HermitianForm(ring, a0)
                 form1 = HermitianForm(
@@ -630,7 +644,7 @@ def test_nonsingularity_is_congruence_invariant():
     for ring in (Z2, CyclicRing(3), L):
         for base in (H_MATRIX, ((1, 0), (0, 1)), ((1, 1), (1, 0))):
             form0 = extend_integer_form(base, ring)
-            gens, _ = hermitian._generators(ring, 2)
+            gens = hermitian._generators(ring, 2)
             p = ring_identity(ring, 2)
             for _ in range(2):
                 p = oracles.apply_generator(rng.choice(gens), p, ring)
@@ -660,7 +674,7 @@ def test_pointed_nonunit_class_is_honestly_not_found():
     assert p1.primitive
     out = pointed_congruence_search(p0, p1)
     assert out.status == hermitian.SEARCH_NOT_FOUND
-    assert out.nodes_explored == 5
+    assert out.nodes_explored == 8
 
 
 def test_pointed_constraint_filters_witnesses():
