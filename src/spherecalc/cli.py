@@ -427,17 +427,8 @@ def cmd_enumerate(args) -> int:
         raise ParseError("--max-abs must be nonnegative")
     manifold = spec.manifold()
     if not args.out:
-        try:
-            counts = write_catalog(sys.stdout, spec, manifold, args.max_abs, _now())
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader closed the pipe, as `| head` does.  Point stdout at
-            # devnull so that the flush at interpreter exit cannot raise too.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            print("error: standard output closed before the catalog was complete", file=sys.stderr)
-            return 1
+        counts = write_catalog(sys.stdout, spec, manifold, args.max_abs, _now())
+        sys.stdout.flush()  # a closed pipe fails here, before the summary
         print(_summary(*counts), file=sys.stderr)
         return 0
     try:
@@ -555,7 +546,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe, as `| head` does.  Point stdout at
+        # devnull so that the flush at interpreter exit cannot raise too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output closed before the output was complete", file=sys.stderr)
+        return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,14 +5,16 @@ order d (dense length-d coefficient vectors, index arithmetic mod d) and
 integer Laurent polynomials (sparse exponent -> coefficient maps).  Both
 are exact; unit detection never leaves integer arithmetic.
 
-This module owns the packed payload of an element and its arithmetic:
-``GroupRingElem.coeffs`` (a dense length-d tuple) and
-``LaurentElem.terms`` (sorted (exponent, coefficient) pairs, no zeros).
-Both are canonical, so payload equality is element equality.  The ring
-descriptors ``CyclicRing`` and ``LaurentRing`` carry the payload
-operations (sum, conjugate, a row scaled by a monomial c * T^k passed as
-the pair (k, c)); the element operators and the congruence search in
-``hermitian`` both run on them.
+An element holds a packed payload: ``GroupRingElem.coeffs`` (a dense
+length-d tuple) or ``LaurentElem.terms`` (sorted (exponent, coefficient)
+pairs, no zeros).  Both are canonical, so payload equality is element
+equality.  Every rule that reads a payload lives on the ring descriptor,
+``CyclicRing`` or ``LaurentRing``: sum, product, negation, conjugate,
+augmentation, the printed and the JSON form, and the row operations of
+the congruence search in ``hermitian`` (a row scaled by a monomial
+c * T^k passed as the pair (k, c)).  The element operators are written
+once, on the base class of both element types, and each asks the
+element's descriptor ``ring`` for its rule.
 
 >>> u = GroupRingElem(2, (1, 2))
 >>> str(u * u)
@@ -23,7 +25,9 @@ the pair (k, c)); the element operators and the congruence search in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import attrgetter
 from typing import ClassVar, Iterable, Mapping
 
 from .errors import RingMismatch
@@ -55,292 +59,96 @@ def _format_terms(pairs, var: str) -> str:
     return " ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class GroupRingElem:
-    """Element of the integral group ring of the cyclic group of order d.
-
-    ``coeffs[k]`` is the coefficient of T^k; there are exactly d of them.
-    """
-
-    d: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("group order must be positive")
-        coeffs = tuple(int(c) for c in self.coeffs)
-        if len(coeffs) != self.d:
-            raise ValueError(f"expected {self.d} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    # -- constructors
-
-    @classmethod
-    def from_int(cls, d: int, n: int) -> "GroupRingElem":
-        return cls(d, (int(n),) + (0,) * (d - 1))
-
-    @classmethod
-    def zero(cls, d: int) -> "GroupRingElem":
-        return cls.from_int(d, 0)
-
-    @classmethod
-    def one(cls, d: int) -> "GroupRingElem":
-        return cls.from_int(d, 1)
-
-    @classmethod
-    def monomial(cls, d: int, k: int, c: int = 1) -> "GroupRingElem":
-        coeffs = [0] * d
-        coeffs[k % d] = int(c)
-        return cls(d, tuple(coeffs))
-
-    # -- ring structure
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return GroupRingElem.from_int(self.d, other)
-        if isinstance(other, GroupRingElem):
-            if other.d != self.d:
-                raise RingMismatch(f"cyclic orders differ: {self.d} vs {other.d}")
-            return other
-        if isinstance(other, LaurentElem):
-            raise RingMismatch("cannot mix cyclic and Laurent elements")
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GroupRingElem(self.d, CyclicRing.add(self.coeffs, o.coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GroupRingElem(self.d, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = [0] * self.d
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        out[(i + j) % self.d] += a * b
-        return GroupRingElem(self.d, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined in the group ring")
-        result = GroupRingElem.one(self.d)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    # -- involution, augmentation, units
-
-    def conjugate(self) -> "GroupRingElem":
-        """Apply T -> T^(-1); an involutive ring automorphism."""
-        return GroupRingElem(self.d, CyclicRing.conj(self.coeffs))
-
-    def augment(self) -> int:
-        """Ring homomorphism to Z given by T -> 1."""
-        return sum(self.coeffs)
-
-    def multiplication_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Circulant d x d integer matrix of multiplication by this element."""
-        return tuple(
-            tuple(self.coeffs[(i - j) % self.d] for j in range(self.d))
-            for i in range(self.d)
-        )
-
-    def is_unit(self) -> bool:
-        """True iff the element is invertible; decided by the circulant determinant."""
-        return integer_det(self.multiplication_matrix()) in (1, -1)
-
-    def __str__(self):
-        return _format_terms(enumerate(self.coeffs), "T")
-
-
-@dataclass(frozen=True)
-class LaurentElem:
-    """Integer Laurent polynomial, stored as sorted (exponent, coefficient) pairs.
-
-    Zero coefficients are never stored, so equality is structural.
-    """
-
-    terms: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        merged: dict[int, int] = {}
-        for e, c in self.terms:
-            merged[int(e)] = merged.get(int(e), 0) + int(c)
-        object.__setattr__(
-            self, "terms", tuple(sorted((e, c) for e, c in merged.items() if c))
-        )
-
-    # -- constructors
-
-    @classmethod
-    def from_terms(cls, terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> "LaurentElem":
-        if isinstance(terms, Mapping):
-            terms = terms.items()
-        return cls(tuple(terms))
-
-    @classmethod
-    def from_int(cls, n: int) -> "LaurentElem":
-        return cls(((0, int(n)),))
-
-    @classmethod
-    def zero(cls) -> "LaurentElem":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "LaurentElem":
-        return cls.from_int(1)
-
-    @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "LaurentElem":
-        return cls(((int(k), int(c)),))
-
-    # -- ring structure
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return LaurentElem.from_int(other)
-        if isinstance(other, LaurentElem):
-            return other
-        if isinstance(other, GroupRingElem):
-            raise RingMismatch("cannot mix Laurent and cyclic elements")
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LaurentElem(LaurentRing.add(self.terms, o.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentElem(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in o.terms:
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentElem.from_terms(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined; invert a monomial instead")
-        result = LaurentElem.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    # -- involution, augmentation, units
-
-    def conjugate(self) -> "LaurentElem":
-        """Apply t -> t^(-1) by negating every exponent."""
-        return LaurentElem(LaurentRing.conj(self.terms))
-
-    def augment(self) -> int:
-        return sum(c for _, c in self.terms)
-
-    def is_unit(self) -> bool:
-        """Units of the integer Laurent ring are exactly +-t^k."""
-        return len(self.terms) == 1 and self.terms[0][1] in (1, -1)
-
-    def __str__(self):
-        return _format_terms(self.terms, "t")
-
-
 # ---------------------------------------------------------------------------
-# ring descriptors: constructors, coercion and the packed payload arithmetic
+# ring descriptors: constructors, coercion and every payload rule
 
 
-@dataclass(frozen=True)
-class CyclicRing:
-    d: int
-    kind: ClassVar[str] = "cyclic"
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("group order must be positive")
+class _RingDescriptor:
+    """The constants and the coercion, shared by both descriptors."""
 
     def zero(self):
-        return GroupRingElem.zero(self.d)
+        return self.from_int(0)
 
     def one(self):
-        return GroupRingElem.one(self.d)
-
-    def from_int(self, n: int):
-        return GroupRingElem.from_int(self.d, n)
-
-    def monomial(self, k: int, c: int = 1):
-        return GroupRingElem.monomial(self.d, k, c)
+        return self.from_int(1)
 
     def coerce(self, value):
+        """``value`` as an element of this ring; an int becomes a constant."""
         if isinstance(value, int):
             return self.from_int(value)
-        if isinstance(value, GroupRingElem):
-            if value.d != self.d:
-                raise RingMismatch(f"cyclic orders differ: {self.d} vs {value.d}")
+        if isinstance(value, _RingElement) and value.ring == self:
             return value
-        raise RingMismatch(f"cannot coerce {value!r} into Z[Z_{self.d}]")
+        raise RingMismatch(f"cannot coerce {value!r} into {self}")
+
+
+@dataclass(frozen=True)
+class CyclicRing(_RingDescriptor):
+    d: int
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("group order must be positive")
+
+    def from_int(self, n: int):
+        return GroupRingElem(self.d, (int(n),) + (0,) * (self.d - 1))
+
+    def monomial(self, k: int, c: int = 1):
+        coeffs = [0] * self.d
+        coeffs[k % self.d] = int(c)
+        return GroupRingElem(self.d, tuple(coeffs))
 
     @property
     def units_fully_known(self) -> bool:
         """Whether every unit of the ring is of the form +-T^k."""
         return self.d in TRIVIAL_UNIT_ORDERS
 
+    def to_json(self) -> dict:
+        return {"kind": "cyclic", "d": self.d}
+
+    def __str__(self):
+        return f"Z[Z_{self.d}]"
+
     # -- packed payloads: dense length-d coefficient tuples
 
-    @staticmethod
-    def pack(value) -> tuple:
-        return value.coeffs
+    pack = attrgetter("coeffs")
 
     def unpack(self, x) -> GroupRingElem:
+        """The element with payload ``x``; its JSON coefficient list is accepted too."""
         return GroupRingElem(self.d, x)
+
+    @staticmethod
+    def element_to_json(value) -> list:
+        return list(value.coeffs)
+
+    @staticmethod
+    def add(x, y):
+        return tuple(map(int.__add__, x, y))
+
+    @staticmethod
+    def neg(x):
+        return tuple([-a for a in x])
+
+    @staticmethod
+    def mul(x, y):
+        d = len(x)
+        out = [0] * d
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y):
+                    if b:
+                        out[(i + j) % d] += a * b
+        return tuple(out)
+
+    @staticmethod
+    def conj(x):
+        return x[:1] + x[:0:-1]
+
+    augment = staticmethod(sum)
+    nonzero = staticmethod(any)
+
+    @staticmethod
+    def format(x) -> str:
+        return _format_terms(enumerate(x), "T")
 
     def scale_row(self, w, row):
         """Each payload of ``row`` times the monomial w = (k, c)."""
@@ -351,16 +159,8 @@ class CyclicRing:
         return tuple([tuple([c * a for a in x[s:] + x[:s]]) for x in row])
 
     @staticmethod
-    def add(x, y):
-        return tuple(map(int.__add__, x, y))
-
-    @staticmethod
     def add_rows(r1, r2):
         return tuple([tuple(map(int.__add__, x, y)) for x, y in zip(r1, r2)])
-
-    @staticmethod
-    def conj(x):
-        return x[:1] + x[:0:-1]
 
     @staticmethod
     def row_ok(row, coeff_limit: int, exp_limit: int) -> bool:
@@ -371,54 +171,37 @@ class CyclicRing:
                     return False
         return True
 
-    def __str__(self):
-        return f"Z[Z_{self.d}]"
-
 
 @dataclass(frozen=True)
-class LaurentRing:
-    kind: ClassVar[str] = "laurent"
-
-    def zero(self):
-        return LaurentElem.zero()
-
-    def one(self):
-        return LaurentElem.one()
-
+class LaurentRing(_RingDescriptor):
     def from_int(self, n: int):
-        return LaurentElem.from_int(n)
+        return LaurentElem(((0, int(n)),))
 
     def monomial(self, k: int, c: int = 1):
-        return LaurentElem.monomial(k, c)
-
-    def coerce(self, value):
-        if isinstance(value, int):
-            return self.from_int(value)
-        if isinstance(value, LaurentElem):
-            return value
-        raise RingMismatch(f"cannot coerce {value!r} into the Laurent ring")
+        return LaurentElem(((int(k), int(c)),))
 
     @property
     def units_fully_known(self) -> bool:
         return True
 
+    def to_json(self) -> dict:
+        return {"kind": "laurent"}
+
+    def __str__(self):
+        return "Z[t,t^-1]"
+
     # -- packed payloads: sorted (exponent, coefficient) pairs without zeros
 
-    @staticmethod
-    def pack(value) -> tuple:
-        return value.terms
+    pack = attrgetter("terms")
 
     @staticmethod
     def unpack(x) -> LaurentElem:
+        """The element with payload ``x``; its JSON pair list is accepted too."""
         return LaurentElem(x)
 
     @staticmethod
-    def scale_row(w, row):
-        """Each payload of ``row`` times the monomial w = (k, c)."""
-        k, c = w
-        if c == 1:
-            return tuple([tuple([(e + k, a) for e, a in x]) for x in row])
-        return tuple([tuple([(e + k, c * a) for e, a in x]) for x in row])
+    def element_to_json(value) -> list:
+        return [[e, c] for e, c in value.terms]
 
     @staticmethod
     def add(x, y):
@@ -432,13 +215,43 @@ class LaurentRing:
         return tuple(sorted([t for t in acc.items() if t[1]]))
 
     @staticmethod
-    def add_rows(r1, r2):
-        add = LaurentRing.add
-        return tuple([add(x, y) if x and y else x or y for x, y in zip(r1, r2)])
+    def neg(x):
+        return tuple([(e, -c) for e, c in x])
+
+    @staticmethod
+    def mul(x, y):
+        out: dict[int, int] = {}
+        for e1, c1 in x:
+            for e2, c2 in y:
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return tuple(sorted([t for t in out.items() if t[1]]))
 
     @staticmethod
     def conj(x):
         return tuple([(-e, a) for e, a in reversed(x)])
+
+    @staticmethod
+    def augment(x) -> int:
+        return sum([c for _, c in x])
+
+    nonzero = staticmethod(bool)
+
+    @staticmethod
+    def format(x) -> str:
+        return _format_terms(x, "t")
+
+    @staticmethod
+    def scale_row(w, row):
+        """Each payload of ``row`` times the monomial w = (k, c)."""
+        k, c = w
+        if c == 1:
+            return tuple([tuple([(e + k, a) for e, a in x]) for x in row])
+        return tuple([tuple([(e + k, c * a) for e, a in x]) for x in row])
+
+    @staticmethod
+    def add_rows(r1, r2):
+        add = LaurentRing.add
+        return tuple([add(x, y) if x and y else x or y for x, y in zip(r1, r2)])
 
     @staticmethod
     def row_ok(row, coeff_limit: int, exp_limit: int) -> bool:
@@ -449,40 +262,18 @@ class LaurentRing:
                     return False
         return True
 
-    def __str__(self):
-        return "Z[t,t^-1]"
-
 
 Ring = CyclicRing | LaurentRing
 
 
-def ring_of(value) -> Ring:
-    if isinstance(value, GroupRingElem):
-        return CyclicRing(value.d)
-    if isinstance(value, LaurentElem):
-        return LaurentRing()
-    raise TypeError(f"not a group-ring element: {value!r}")
+@lru_cache(maxsize=256)
+def _cyclic_ring(d: int) -> CyclicRing:
+    """One descriptor per recent order, so that its elements share it.
 
-
-def element_to_json(value):
-    """JSON payload for one element: coefficient list (cyclic) or pair list."""
-    if isinstance(value, GroupRingElem):
-        return list(value.coeffs)
-    if isinstance(value, LaurentElem):
-        return [[e, c] for e, c in value.terms]
-    raise TypeError(f"not a group-ring element: {value!r}")
-
-
-def element_from_json(ring: Ring, data):
-    if isinstance(ring, CyclicRing):
-        return GroupRingElem(ring.d, tuple(int(c) for c in data))
-    return LaurentElem.from_terms([(int(e), int(c)) for e, c in data])
-
-
-def ring_to_json(ring: Ring) -> dict:
-    if isinstance(ring, CyclicRing):
-        return {"kind": "cyclic", "d": ring.d}
-    return {"kind": "laurent"}
+    Sharing lets the operators recognise a same-ring operand by identity;
+    elements whose descriptors differ as objects still compare equal.
+    """
+    return CyclicRing(d)
 
 
 def ring_from_json(data) -> Ring:
@@ -491,3 +282,170 @@ def ring_from_json(data) -> Ring:
     if data.get("kind") == "laurent":
         return LaurentRing()
     raise ValueError(f"unknown ring tag: {data!r}")
+
+
+# ---------------------------------------------------------------------------
+# elements
+
+
+class _RingElement:
+    """The operators of both element types, on the payload rules of ``ring``.
+
+    An int operand is a constant of the ring, an element of another ring
+    raises ``RingMismatch``, and any other operand is ``NotImplemented``.
+    """
+
+    def _coerce(self, other):
+        """Payload of ``other`` in this element's ring; None for a non-ring operand."""
+        ring = self.ring
+        if other.__class__ is self.__class__ and other.ring is ring:
+            return ring.pack(other)
+        if isinstance(other, (int, _RingElement)):
+            return ring.pack(ring.coerce(other))
+        return None
+
+    def __add__(self, other):
+        y = self._coerce(other)
+        if y is None:
+            return NotImplemented
+        ring = self.ring
+        return ring.unpack(ring.add(ring.pack(self), y))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        ring = self.ring
+        return ring.unpack(ring.neg(ring.pack(self)))
+
+    def __sub__(self, other):
+        y = self._coerce(other)
+        if y is None:
+            return NotImplemented
+        ring = self.ring
+        return ring.unpack(ring.add(ring.pack(self), ring.neg(y)))
+
+    def __rsub__(self, other):
+        y = self._coerce(other)
+        if y is None:
+            return NotImplemented
+        ring = self.ring
+        return ring.unpack(ring.add(y, ring.neg(ring.pack(self))))
+
+    def __mul__(self, other):
+        y = self._coerce(other)
+        if y is None:
+            return NotImplemented
+        ring = self.ring
+        return ring.unpack(ring.mul(ring.pack(self), y))
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        ring = self.ring
+        return ring.nonzero(ring.pack(self))
+
+    def conjugate(self):
+        """Apply T -> T^(-1); an involutive ring automorphism."""
+        ring = self.ring
+        return ring.unpack(ring.conj(ring.pack(self)))
+
+    def augment(self) -> int:
+        """Ring homomorphism to Z given by T -> 1."""
+        ring = self.ring
+        return ring.augment(ring.pack(self))
+
+    def __str__(self):
+        ring = self.ring
+        return ring.format(ring.pack(self))
+
+
+@dataclass(frozen=True)
+class GroupRingElem(_RingElement):
+    """Element of the integral group ring of the cyclic group of order d.
+
+    ``coeffs[k]`` is the coefficient of T^k; there are exactly d of them.
+    """
+
+    d: int
+    coeffs: tuple[int, ...]
+    ring: CyclicRing = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ring = _cyclic_ring(self.d)  # rejects an order below 1
+        coeffs = tuple(map(int, self.coeffs))
+        if len(coeffs) != self.d:
+            raise ValueError(f"expected {self.d} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "ring", ring)
+
+    @classmethod
+    def from_int(cls, d: int, n: int) -> "GroupRingElem":
+        return _cyclic_ring(d).from_int(n)
+
+    @classmethod
+    def zero(cls, d: int) -> "GroupRingElem":
+        return _cyclic_ring(d).zero()
+
+    @classmethod
+    def one(cls, d: int) -> "GroupRingElem":
+        return _cyclic_ring(d).one()
+
+    @classmethod
+    def monomial(cls, d: int, k: int, c: int = 1) -> "GroupRingElem":
+        return _cyclic_ring(d).monomial(k, c)
+
+    def multiplication_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Circulant d x d integer matrix of multiplication by this element."""
+        return tuple(
+            tuple(self.coeffs[(i - j) % self.d] for j in range(self.d))
+            for i in range(self.d)
+        )
+
+    def is_unit(self) -> bool:
+        """True iff the element is invertible; decided by the circulant determinant."""
+        return integer_det(self.multiplication_matrix()) in (1, -1)
+
+
+@dataclass(frozen=True)
+class LaurentElem(_RingElement):
+    """Integer Laurent polynomial, stored as sorted (exponent, coefficient) pairs.
+
+    Zero coefficients are never stored, so equality is structural.
+    """
+
+    terms: tuple[tuple[int, int], ...] = ()
+    ring: ClassVar[LaurentRing] = LaurentRing()
+
+    def __post_init__(self):
+        merged: dict[int, int] = {}
+        for e, c in self.terms:
+            merged[int(e)] = merged.get(int(e), 0) + int(c)
+        object.__setattr__(
+            self, "terms", tuple(sorted((e, c) for e, c in merged.items() if c))
+        )
+
+    @classmethod
+    def from_terms(cls, terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> "LaurentElem":
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        return cls(tuple(terms))
+
+    @classmethod
+    def from_int(cls, n: int) -> "LaurentElem":
+        return cls.ring.from_int(n)
+
+    @classmethod
+    def zero(cls) -> "LaurentElem":
+        return cls.ring.zero()
+
+    @classmethod
+    def one(cls) -> "LaurentElem":
+        return cls.ring.one()
+
+    @classmethod
+    def monomial(cls, k: int, c: int = 1) -> "LaurentElem":
+        return cls.ring.monomial(k, c)
+
+    def is_unit(self) -> bool:
+        """Units of the integer Laurent ring are exactly +-t^k."""
+        return len(self.terms) == 1 and self.terms[0][1] in (1, -1)

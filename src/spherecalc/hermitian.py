@@ -46,10 +46,7 @@ from .groupring import (
     CyclicRing,
     GroupRingElem,
     Ring,
-    element_from_json,
-    element_to_json,
     ring_from_json,
-    ring_to_json,
 )
 from .intlattice import Matrix, freeze_matrix, integer_det, mat_vec
 
@@ -169,19 +166,17 @@ class HermitianForm:
         return [[str(v) for v in row] for row in self.matrix]
 
     def to_json_dict(self) -> dict:
+        to_json = self.ring.element_to_json
         return {
-            "ring": ring_to_json(self.ring),
+            "ring": self.ring.to_json(),
             "size": self.size,
-            "entries": [[element_to_json(v) for v in row] for row in self.matrix],
+            "entries": [[to_json(v) for v in row] for row in self.matrix],
         }
 
     @classmethod
     def from_json_dict(cls, data) -> "HermitianForm":
         ring = ring_from_json(data["ring"])
-        rows = tuple(
-            tuple(element_from_json(ring, v) for v in row) for row in data["entries"]
-        )
-        return cls(ring, rows)
+        return cls(ring, tuple(tuple(map(ring.unpack, row)) for row in data["entries"]))
 
 
 @dataclass(frozen=True)

@@ -240,10 +240,11 @@ def test_enumerate_out_on_a_full_device_is_input_error(capsys):
     assert out == ""
 
 
-def test_enumerate_to_a_closed_pipe_exits_without_traceback():
+def _run_into_closed_pipe(*argv):
+    """Run the CLI, close its standard output after 100 bytes; (exit code, stderr)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "spherecalc", "enumerate", "--manifold", "H#H#H", "--max-abs", "2"],
+        [sys.executable, "-m", "spherecalc", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": src},
@@ -255,7 +256,19 @@ def test_enumerate_to_a_closed_pipe_exits_without_traceback():
     finally:
         proc.wait(timeout=60)
         proc.stderr.close()
-    assert proc.returncode == 1
+    return proc.returncode, err
+
+
+def test_enumerate_to_a_closed_pipe_exits_without_traceback():
+    code, err = _run_into_closed_pipe("enumerate", "--manifold", "H#H#H", "--max-abs", "2")
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_form_extend_to_a_closed_pipe_exits_without_traceback():
+    # Z4096 entries print ~210 KB of JSON, more than a pipe buffer holds
+    code, err = _run_into_closed_pipe("form", "extend", "--ring", "Z4096", "--a", "[[0,1],[1,0]]")
+    assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
 
 
@@ -701,6 +714,16 @@ def _readme_commands():
         line for block in blocks for line in block.splitlines()
         if line.startswith("spherecalc ")
     ]
+
+
+def test_readme_python_example_prints_its_comments(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        expected = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+        assert expected
+        exec(compile(block, str(README), "exec"), {})
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_readme_lists_cli_examples():

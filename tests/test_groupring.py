@@ -1,4 +1,5 @@
 import doctest
+import operator
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from spherecalc.groupring import (
     GroupRingElem,
     LaurentElem,
     LaurentRing,
-    ring_of,
 )
 
 
@@ -110,11 +110,35 @@ def test_ring_axioms_laurent(u, v, w):
     assert u - u == LaurentElem.zero()
 
 
+MIXED_PAIRS = [
+    (GroupRingElem.one(2), GroupRingElem.one(3)),
+    (GroupRingElem.one(2), LaurentElem.one()),
+    (LaurentElem.one(), GroupRingElem.one(2)),
+]
+
+
 def test_mixed_ring_operations_raise():
-    with pytest.raises(RingMismatch):
-        GroupRingElem.one(2) + LaurentElem.one()
-    with pytest.raises(RingMismatch):
-        GroupRingElem.one(2) * GroupRingElem.one(3)
+    for x, y in MIXED_PAIRS:
+        for op in (operator.add, operator.sub, operator.mul):
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(RingMismatch):
+                    op(a, b)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [GroupRingElem(3, (1, -2, 5)), LaurentElem.from_terms({-1: 2, 3: 1})],
+    ids=["cyclic", "laurent"],
+)
+def test_int_operands_are_constants_and_others_are_refused(u):
+    three = u.ring.from_int(3)
+    assert 3 + u == three + u == u + 3
+    assert 3 - u == three - u
+    assert u * 3 == u * three == 3 * u
+    with pytest.raises(TypeError):
+        u + "x"
+    with pytest.raises(TypeError):
+        u * 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +187,8 @@ def test_units_agree_with_bounded_inverse_search_small():
 def test_ring_descriptors():
     z2 = CyclicRing(2)
     assert z2.coerce(3) == GroupRingElem.from_int(2, 3)
-    assert ring_of(GroupRingElem.one(4)) == CyclicRing(4)
-    assert ring_of(LaurentElem.one()) == LaurentRing()
+    assert GroupRingElem.one(4).ring == CyclicRing(4)
+    assert LaurentElem.one().ring == LaurentRing()
     assert CyclicRing(6).units_fully_known and not CyclicRing(5).units_fully_known
     with pytest.raises(RingMismatch):
         z2.coerce(GroupRingElem.one(3))
