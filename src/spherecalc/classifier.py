@@ -40,7 +40,7 @@ from .errors import (
     ZeroClass,
 )
 from .groupring import LaurentRing
-from .intlattice import HomologyClass, IntersectionForm
+from .intlattice import IntersectionForm, freeze_vector
 
 EXISTS_YES = "Yes"
 EXISTS_NO = "No"
@@ -113,7 +113,7 @@ class UniquenessResult:
 class SphereClassReport:
     """Per-class verdict: representability, reason codes, uniqueness status."""
 
-    x: HomologyClass
+    x: tuple[int, ...]
     divisibility: int
     characteristic: bool
     lw_bound: int | None
@@ -127,7 +127,7 @@ class SphereClassReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "class": list(self.x.coords),
+            "class": list(self.x),
             "divisibility": self.divisibility,
             "characteristic": self.characteristic,
             "lw_bound": self.lw_bound,
@@ -143,7 +143,7 @@ class SphereClassReport:
 
 def report_from_json_dict(data) -> SphereClassReport:
     return SphereClassReport(
-        x=HomologyClass(tuple(data["class"])),
+        x=freeze_vector(data["class"]),
         divisibility=int(data["divisibility"]),
         characteristic=bool(data["characteristic"]),
         lw_bound=None if data["lw_bound"] is None else int(data["lw_bound"]),
@@ -155,10 +155,6 @@ def report_from_json_dict(data) -> SphereClassReport:
         uniqueness=data["uniqueness"],
         citations=tuple(data["citations"]),
     )
-
-
-def _class_of(x) -> HomologyClass:
-    return x if isinstance(x, HomologyClass) else HomologyClass(tuple(x))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +238,12 @@ def _verdict(b2: int, sigma: int, ks: int, d: int, yy: int, characteristic: bool
     return _Verdict(bound, passes_ks, EXISTS_YES, reasons, uniqueness, existence_citations, (tag,))
 
 
-def _invariants(manifold: FourManifold, cls: HomologyClass) -> tuple[int, int, bool]:
+def _invariants(manifold: FourManifold, x: tuple[int, ...]) -> tuple[int, int, bool]:
     """(divisibility, x.x, characteristic) of one class."""
     return (
-        intlattice.divisibility(cls),
-        intlattice.self_intersection(manifold.form, cls),
-        intlattice.is_characteristic(manifold.form, cls),
+        intlattice.divisibility(x),
+        intlattice.self_intersection(manifold.form, x),
+        intlattice.is_characteristic(manifold.form, x),
     )
 
 
@@ -257,12 +253,12 @@ def _verdict_of(manifold: FourManifold, d: int, xx: int, characteristic: bool) -
 
 
 def report_from_invariants(
-    manifold: FourManifold, x, d: int, xx: int, characteristic: bool
+    manifold: FourManifold, x: tuple[int, ...], d: int, xx: int, characteristic: bool
 ) -> SphereClassReport:
     """The report of class ``x`` given its divisibility, x.x and characteristic flag."""
     v = _verdict_of(manifold, d, xx, characteristic)
     return SphereClassReport(
-        x=_class_of(x),
+        x=x,
         divisibility=d,
         characteristic=characteristic,
         lw_bound=v.lw_bound,
@@ -285,7 +281,7 @@ def lw_bound(manifold: FourManifold, x) -> int:
 
     Integral because x.x = d^2 (y.y); undefined for the zero class.
     """
-    v = _verdict_of(manifold, *_invariants(manifold, _class_of(x)))
+    v = _verdict_of(manifold, *_invariants(manifold, freeze_vector(x)))
     if v.lw_bound is None:
         raise ZeroClass("the rotation-number bound is undefined for the zero class")
     return v.lw_bound
@@ -293,7 +289,7 @@ def lw_bound(manifold: FourManifold, x) -> int:
 
 def ks_condition(manifold: FourManifold, x) -> bool:
     """Mod-2 test of ks = (sigma - x.x)/8 for a characteristic class."""
-    v = _verdict_of(manifold, *_invariants(manifold, _class_of(x)))
+    v = _verdict_of(manifold, *_invariants(manifold, freeze_vector(x)))
     if v.passes_ks is None:
         raise NotCharacteristic("the ks criterion applies to characteristic classes only")
     return v.passes_ks
@@ -306,14 +302,14 @@ def exists_simple_sphere(manifold: FourManifold, x) -> ExistenceResult:
     characteristic.  The zero class is always representable (an unknotted
     sphere in a small ball).
     """
-    v = _verdict_of(manifold, *_invariants(manifold, _class_of(x)))
+    v = _verdict_of(manifold, *_invariants(manifold, freeze_vector(x)))
     verdict = EXISTS_YES if v.exists == EXISTS_BY_DEFINITION else v.exists
     return ExistenceResult(verdict, v.reasons, v.existence_citations)
 
 
 def uniqueness_status(manifold: FourManifold, x) -> UniquenessResult:
     """Uniqueness verdict for a representable class of nonzero divisibility."""
-    v = _verdict_of(manifold, *_invariants(manifold, _class_of(x)))
+    v = _verdict_of(manifold, *_invariants(manifold, freeze_vector(x)))
     if v.exists == EXISTS_BY_DEFINITION:
         raise NotApplicable(
             "uniqueness of the zero class is governed by isometry classes of "
@@ -326,8 +322,8 @@ def uniqueness_status(manifold: FourManifold, x) -> UniquenessResult:
 
 def classify(manifold: FourManifold, x) -> SphereClassReport:
     """Full per-class report: divisibility, bounds, existence, uniqueness."""
-    cls = _class_of(x)
-    return report_from_invariants(manifold, cls, *_invariants(manifold, cls))
+    x = freeze_vector(x)
+    return report_from_invariants(manifold, x, *_invariants(manifold, x))
 
 
 # ---------------------------------------------------------------------------

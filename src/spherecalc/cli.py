@@ -65,6 +65,8 @@ def parse_int_matrix(text: str, what: str = "matrix", square: bool = True) -> Ma
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON {what}: {exc.msg}", position=exc.pos) from exc
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise ParseError(f"invalid JSON {what}: an integer literal has too many digits") from exc
     except RecursionError as exc:
         raise ParseError(f"JSON {what} nests too deeply") from exc
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
@@ -83,6 +85,8 @@ def parse_int_vector(text: str) -> tuple[int, ...]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON vector: {exc.msg}", position=exc.pos) from exc
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise ParseError("invalid JSON vector: an integer literal has too many digits") from exc
     except RecursionError as exc:
         raise ParseError("JSON vector nests too deeply") from exc
     if not isinstance(data, list):
@@ -91,6 +95,14 @@ def parse_int_vector(text: str) -> tuple[int, ...]:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ParseError(f"class entries must be integers, got {v!r}")
     return tuple(data)
+
+
+def _to_int(digits: str, position: int) -> int:
+    """``int(digits)`` for a matched literal; too many digits is a parse error."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError("integer literal has too many digits", position=position) from exc
 
 
 _TERM_RE = re.compile(r"^([+-]?\d+|[+-]?)\*?([Tt])(?:\^(-?\d+))?$")
@@ -122,14 +134,17 @@ def parse_poly(text: str, ring: Ring, base: int = 0):
         if not term or term in "+-":
             raise ParseError(f"dangling sign in {text!r}", position=base + offset)
         if _INT_RE.match(term):
-            result = result + ring.from_int(int(term))
+            result = result + ring.from_int(_to_int(term, base + offset))
             continue
         m = _TERM_RE.match(term)
         if m is None:
             raise ParseError(f"cannot parse term {raw.strip()!r}", position=base + offset)
         coeff_text, _, exp_text = m.groups()
-        coeff = int(coeff_text) if coeff_text not in ("", "+", "-") else (-1 if coeff_text == "-" else 1)
-        exponent = int(exp_text) if exp_text is not None else 1
+        if coeff_text in ("", "+", "-"):
+            coeff = -1 if coeff_text == "-" else 1
+        else:
+            coeff = _to_int(coeff_text, base + offset)
+        exponent = _to_int(exp_text, base + offset) if exp_text is not None else 1
         result = result + ring.monomial(exponent, coeff)
     return result
 
@@ -198,7 +213,7 @@ def parse_ring(text: str) -> Ring:
         return LaurentRing()
     m = re.match(r"^(?:Z|cyclic:)(\d+)$", s)
     if m:
-        d = int(m.group(1))
+        d = _to_int(m.group(1), m.start(1))
         if not 1 <= d <= MAX_CYCLIC_ORDER:
             raise ParseError(
                 f"cyclic ring order must be positive and at most {MAX_CYCLIC_ORDER}, "
@@ -282,7 +297,7 @@ class CatalogFile:
     schema: str = CATALOG_SCHEMA
 
     def __post_init__(self):
-        classes = [r.x.coords for r in self.reports]
+        classes = [r.x for r in self.reports]
         if classes != sorted(classes):
             raise ValueError("catalog reports must be sorted lexicographically by class")
 
@@ -393,7 +408,7 @@ def _print_json(payload) -> None:
 
 def _report_table(report: SphereClassReport) -> str:
     lines = [
-        f"class:          {list(report.x.coords)}",
+        f"class:          {list(report.x)}",
         f"divisibility:   {report.divisibility}",
         f"characteristic: {'yes' if report.characteristic else 'no'}",
         f"lw_bound:       {report.lw_bound if report.lw_bound is not None else '-'}",
@@ -549,13 +564,19 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader closed the pipe, as `| head` does.  Point stdout at
-        # devnull so that the flush at interpreter exit cannot raise too.
+    except OSError as exc:
+        # Writing standard output failed: the reader closed the pipe, as
+        # `| head` does, or the device is full (`enumerate --out` handles
+        # its own file).  Point stdout at devnull so that the flush at
+        # interpreter exit cannot raise too.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print("error: standard output closed before the output was complete", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            reason = "standard output closed before the output was complete"
+        else:
+            reason = f"cannot write standard output: {exc.strerror or exc}"
+        print(f"error: {reason}", file=sys.stderr)
         return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

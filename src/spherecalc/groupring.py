@@ -14,12 +14,14 @@ augmentation, the printed and the JSON form, and the row operations of
 the congruence search in ``hermitian`` (a row scaled by a monomial
 c * T^k passed as the pair (k, c)).  The element operators are written
 once, on the base class of both element types, and each asks the
-element's descriptor ``ring`` for its rule.
+element's descriptor ``ring`` for its rule.  Elements are built by their
+ring (``monomial``, ``from_int``, ``zero``, ``one``) or from their payload.
 
 >>> u = GroupRingElem(2, (1, 2))
 >>> str(u * u)
 '5 + 4T'
->>> str(LaurentElem.monomial(2) - 3 * LaurentElem.monomial(-1))
+>>> L = LaurentRing()
+>>> str(L.monomial(2) - 3 * L.monomial(-1))
 '-3t^-1 + t^2'
 """
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar
 
 from .errors import RingMismatch
 from .intlattice import integer_det
@@ -378,22 +380,6 @@ class GroupRingElem(_RingElement):
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "ring", ring)
 
-    @classmethod
-    def from_int(cls, d: int, n: int) -> "GroupRingElem":
-        return _cyclic_ring(d).from_int(n)
-
-    @classmethod
-    def zero(cls, d: int) -> "GroupRingElem":
-        return _cyclic_ring(d).zero()
-
-    @classmethod
-    def one(cls, d: int) -> "GroupRingElem":
-        return _cyclic_ring(d).one()
-
-    @classmethod
-    def monomial(cls, d: int, k: int, c: int = 1) -> "GroupRingElem":
-        return _cyclic_ring(d).monomial(k, c)
-
     def multiplication_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Circulant d x d integer matrix of multiplication by this element."""
         return tuple(
@@ -410,7 +396,8 @@ class GroupRingElem(_RingElement):
 class LaurentElem(_RingElement):
     """Integer Laurent polynomial, stored as sorted (exponent, coefficient) pairs.
 
-    Zero coefficients are never stored, so equality is structural.
+    Repeated exponents are summed and zero coefficients are never stored,
+    so equality is structural.
     """
 
     terms: tuple[tuple[int, int], ...] = ()
@@ -423,28 +410,6 @@ class LaurentElem(_RingElement):
         object.__setattr__(
             self, "terms", tuple(sorted((e, c) for e, c in merged.items() if c))
         )
-
-    @classmethod
-    def from_terms(cls, terms: Mapping[int, int] | Iterable[tuple[int, int]]) -> "LaurentElem":
-        if isinstance(terms, Mapping):
-            terms = terms.items()
-        return cls(tuple(terms))
-
-    @classmethod
-    def from_int(cls, n: int) -> "LaurentElem":
-        return cls.ring.from_int(n)
-
-    @classmethod
-    def zero(cls) -> "LaurentElem":
-        return cls.ring.zero()
-
-    @classmethod
-    def one(cls) -> "LaurentElem":
-        return cls.ring.one()
-
-    @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "LaurentElem":
-        return cls.ring.monomial(k, c)
 
     def is_unit(self) -> bool:
         """Units of the integer Laurent ring are exactly +-t^k."""

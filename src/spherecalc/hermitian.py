@@ -183,9 +183,10 @@ class HermitianForm:
 class PointedHermitianForm:
     """Hermitian form together with a distinguished class z.
 
-    Primitivity of z (gcd-1 augmentation vector) is exposed as a property
-    rather than enforced, so that incompatible pointed pairs can still be
-    fed to the search and refuted there.
+    z need not be primitive: ``augmented_divisibility``, the gcd of its
+    augmentation vector, is exposed rather than enforced (1 means
+    primitive), so that incompatible pointed pairs can still be fed to the
+    search and refuted there.
     """
 
     form: HermitianForm
@@ -198,12 +199,8 @@ class PointedHermitianForm:
         object.__setattr__(self, "z", vec)
 
     @property
-    def primitive(self) -> bool:
-        return gcd(*(v.augment() for v in self.z)) == 1 if self.z else False
-
-    @property
     def augmented_divisibility(self) -> int:
-        return gcd(*(v.augment() for v in self.z)) if self.z else 0
+        return gcd(*[v.augment() for v in self.z])
 
 
 @dataclass(frozen=True)
@@ -292,7 +289,7 @@ def build_equivariant_form(equiv: EquivariantIntegerForm, basis) -> HermitianFor
 
 def augment_form(form: HermitianForm) -> Matrix:
     """Entrywise T -> 1; a symmetric integer matrix, not necessarily unimodular."""
-    return tuple(tuple(v.augment() for v in row) for row in form.matrix)
+    return augmented_isometry(form.matrix)
 
 
 def is_nonsingular(form: HermitianForm) -> bool:

@@ -143,22 +143,6 @@ class IntersectionForm:
         return len(self.matrix)
 
 
-@dataclass(frozen=True)
-class HomologyClass:
-    """An integer vector in the fixed basis of H_2."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", freeze_vector(self.coords))
-
-    def __len__(self):
-        return len(self.coords)
-
-    def scaled(self, k: int) -> "HomologyClass":
-        return HomologyClass(tuple(k * c for c in self.coords))
-
-
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
 
@@ -186,25 +170,19 @@ def _matrix_rows(q) -> Matrix:
     return freeze_matrix(q)
 
 
-def _coords(x) -> tuple[int, ...]:
-    if isinstance(x, HomologyClass):
-        return x.coords
-    return freeze_vector(x)
-
-
 # ---------------------------------------------------------------------------
 # operations
 
 
 def divisibility(x) -> int:
     """Largest integer dividing the class; 0 exactly for the zero class."""
-    return gcd(*_coords(x)) if len(_coords(x)) else 0
+    return gcd(*freeze_vector(x))
 
 
 def self_intersection(q, x) -> int:
     """Evaluate x^T Q x exactly."""
     rows = _matrix_rows(q)
-    v = _coords(x)
+    v = freeze_vector(x)
     if len(v) != len(rows):
         raise DimensionMismatch(f"class has length {len(v)}, form has rank {len(rows)}")
     return sum(v[i] * rows[i][j] * v[j] for i in range(len(v)) for j in range(len(v)))
@@ -217,7 +195,7 @@ def is_characteristic(q, x) -> bool:
     decides it.
     """
     rows = _matrix_rows(q)
-    v = _coords(x)
+    v = freeze_vector(x)
     n = len(rows)
     if len(v) != n:
         raise DimensionMismatch(f"class has length {len(v)}, form has rank {n}")

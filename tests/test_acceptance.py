@@ -122,7 +122,7 @@ def test_criterion_3_characteristic_detection_box():
 def test_criterion_4_equivariant_form_of_the_conic():
     eq = EquivariantIntegerForm(H_MATRIX, ((0, 1), (1, 0)))
     lam = build_equivariant_form(eq, [(1, 0)])
-    built = lam.matrix == ((GroupRingElem.monomial(2, 1),),)
+    built = lam.matrix == ((Z2.monomial(1),),)
     augmented = augment_form(lam) == ((1,),)
     ok = built and augmented
     _line(4, "double branched cover of the conic: form (T), augmentation (1)", ok)
@@ -132,11 +132,11 @@ def test_criterion_4_equivariant_form_of_the_conic():
 
 def test_criterion_5_form_distinction_with_parity_check():
     lam0 = HermitianForm(Z2, ((1,),))
-    lam1 = HermitianForm(Z2, ((GroupRingElem.monomial(2, 1),),))
+    lam1 = HermitianForm(Z2, ((Z2.monomial(1),),))
     outcome = congruence_search(lam0, lam1)
     disproven = outcome.status == hermitian.SEARCH_DISPROVEN
     parity_ok = True
-    target = GroupRingElem.monomial(2, 1)
+    target = Z2.monomial(1)
     for a in range(-3, 4):
         for b in range(-3, 4):
             p = GroupRingElem(2, (a, b))
@@ -152,7 +152,7 @@ def test_criterion_5_form_distinction_with_parity_check():
 def test_criterion_6_realizable_form_criterion():
     yes = realizable_forms_check(CP2, extend_integer_form([[1]], L))
     no = realizable_forms_check(
-        CP2, HermitianForm(L, ((LaurentElem.from_terms({1: 1, -1: 1}),),))
+        CP2, HermitianForm(L, ((LaurentElem(((1, 1), (-1, 1))),),))
     )
     ok = yes.status == REALIZABLE and no.status == NOT_REALIZABLE
     _line(6, "CP2 realizability: (1) realizable, (t+t^-1) not", ok)
@@ -171,8 +171,8 @@ def test_criterion_7_property_suites():
             d = rng.randint(1, 6)
             mk = lambda: GroupRingElem(d, tuple(rng.randint(-9, 9) for _ in range(d)))
         else:
-            mk = lambda: LaurentElem.from_terms(
-                {rng.randint(-5, 5): rng.randint(-9, 9) for _ in range(rng.randint(0, 4))}
+            mk = lambda: LaurentElem(
+                {rng.randint(-5, 5): rng.randint(-9, 9) for _ in range(rng.randint(0, 4))}.items()
             )
         u, v, w = mk(), mk(), mk()
         elements_seen += 3
@@ -225,19 +225,19 @@ def test_criterion_7_property_suites():
     twisted = HermitianForm(
         L,
         (
-            (LaurentElem.zero(), LaurentElem.monomial(1)),
-            (LaurentElem.monomial(-1), LaurentElem.zero()),
+            (L.zero(), L.monomial(1)),
+            (L.monomial(-1), L.zero()),
         ),
     )
     searches.append((form_h, twisted, None))
-    form_t = HermitianForm(Z2, ((GroupRingElem.monomial(2, 1),),))
+    form_t = HermitianForm(Z2, ((Z2.monomial(1),),))
     searches.append(
         (
             form_t,
             form_t,
             (
-                (GroupRingElem.one(2),),
-                (GroupRingElem.monomial(2, 1),),
+                (Z2.one(),),
+                (Z2.monomial(1),),
             ),
         )
     )

@@ -235,9 +235,9 @@ def test_report_json_round_trip():
 def test_enumerate_cp2_small_box():
     reports = enumerate_representable(CP2, 4)
     assert len(reports) == 9
-    assert [r.x.coords for r in reports] == [(k,) for k in range(-4, 5)]
+    assert [r.x for r in reports] == [(k,) for k in range(-4, 5)]
     representable = {
-        r.x.coords[0]
+        r.x[0]
         for r in reports
         if r.exists in (EXISTS_YES, EXISTS_BY_DEFINITION)
     }
@@ -258,10 +258,10 @@ def test_enumerate_rejects_negative_bound():
 def test_enumerate_two_hyperbolics_matches_predicate_small_box():
     reports = enumerate_representable(S2XS2_2, 2)
     for report in reports:
-        a, b, c, e = report.x.coords
+        a, b, c, e = report.x
         predicate = (
-            report.x.coords == (0, 0, 0, 0)
-            or math.gcd(*(abs(v) for v in report.x.coords)) == 1
+            report.x == (0, 0, 0, 0)
+            or math.gcd(*(abs(v) for v in report.x)) == 1
             or a * b + c * e == 0
         )
         assert (report.exists in (EXISTS_YES, EXISTS_BY_DEFINITION)) == predicate
@@ -317,7 +317,7 @@ def test_ks_bit_changes_the_catalog():
     # characteristic classes +-1 now fail the mod-2 condition
     fake = FourManifold(IntersectionForm([[1]]), 1)
     representable = {
-        r.x.coords[0]
+        r.x[0]
         for r in enumerate_representable(fake, 3)
         if r.exists in (EXISTS_YES, EXISTS_BY_DEFINITION)
     }
@@ -376,7 +376,7 @@ def test_classify_with_huge_coordinates_is_exact():
 def test_realizable_forms_examples():
     assert realizable_forms_check(CP2, extend_integer_form([[1]], L)).status == REALIZABLE
     res = realizable_forms_check(
-        CP2, HermitianForm(L, ((LaurentElem.from_terms({1: 1, -1: 1}),),))
+        CP2, HermitianForm(L, ((LaurentElem(((1, 1), (-1, 1))),),))
     )
     assert res.status == NOT_REALIZABLE
     assert "singular" in res.reason
@@ -402,7 +402,7 @@ def test_realizable_forms_requires_laurent_ring():
 
 
 def test_realizable_forms_nonunimodular_augmentation():
-    form = HermitianForm(L, ((LaurentElem.from_terms({1: 1, -1: 1, 0: 1}),),))
+    form = HermitianForm(L, ((LaurentElem(((1, 1), (-1, 1), (0, 1))),),))
     res = realizable_forms_check(CP2, form)
     assert res.status == NOT_REALIZABLE
 

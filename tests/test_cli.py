@@ -35,15 +35,15 @@ def test_parse_poly_cyclic():
     assert cli.parse_poly("3 + 2T", z2) == GroupRingElem(2, (3, 2))
     assert cli.parse_poly("-T", z2) == GroupRingElem(2, (0, -1))
     assert cli.parse_poly("T^2", z2) == GroupRingElem(2, (1, 0))
-    assert cli.parse_poly("7", z2) == GroupRingElem.from_int(2, 7)
-    assert cli.parse_poly("T^-1", z2) == GroupRingElem.monomial(2, 1)
+    assert cli.parse_poly("7", z2) == CyclicRing(2).from_int(7)
+    assert cli.parse_poly("T^-1", z2) == CyclicRing(2).monomial(1)
 
 
 def test_parse_poly_laurent():
     lr = LaurentRing()
-    assert cli.parse_poly("1 - t^-2", lr) == LaurentElem.from_terms({0: 1, -2: -1})
-    assert cli.parse_poly("t + t^-1", lr) == LaurentElem.from_terms({1: 1, -1: 1})
-    assert cli.parse_poly("2*t^3", lr) == LaurentElem.monomial(3, 2)
+    assert cli.parse_poly("1 - t^-2", lr) == LaurentElem(((0, 1), (-2, -1)))
+    assert cli.parse_poly("t + t^-1", lr) == LaurentElem(((1, 1), (-1, 1)))
+    assert cli.parse_poly("2*t^3", lr) == LaurentRing().monomial(3, 2)
 
 
 def test_parse_poly_errors_carry_positions():
@@ -59,7 +59,7 @@ def test_parse_poly_errors_carry_positions():
 def test_parse_form_matrix():
     lr = LaurentRing()
     form = cli.parse_form_matrix("[[0, t],[t^-1, 0]]", lr)
-    assert form.matrix[0][1] == LaurentElem.monomial(1)
+    assert form.matrix[0][1] == LaurentRing().monomial(1)
     quoted = cli.parse_form_matrix('[["0", "t"],["t^-1", "0"]]', lr)
     assert quoted == form
     with pytest.raises(ParseError):
@@ -179,7 +179,7 @@ def test_enumerate_reports_are_sorted(tmp_path, capsys):
     )
     assert code == 0
     catalog = cli.CatalogFile.from_json_text(out_path.read_text(encoding="utf-8"))
-    classes = [tuple(r.x.coords) for r in catalog.reports]
+    classes = [r.x for r in catalog.reports]
     assert classes == sorted(classes)
     assert len(classes) == 81
 
@@ -270,6 +270,32 @@ def test_form_extend_to_a_closed_pipe_exits_without_traceback():
     code, err = _run_into_closed_pipe("form", "extend", "--ring", "Z4096", "--a", "[[0,1],[1,0]]")
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--manifold", "CP2", "--class", "[1]"],
+        # ~7 MB of catalog, more than a write buffer holds
+        ["enumerate", "--manifold", "H#H#H", "--max-abs", "2"],
+    ],
+    ids=["classify", "enumerate"],
+)
+def test_stdout_on_a_full_device_exits_without_traceback(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spherecalc", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 STAMP = "2000-01-01T00:00:00+00:00"
@@ -542,6 +568,32 @@ def test_deeply_nested_json_is_parse_error(capsys, argv):
     assert code == 2
     assert err.startswith("error:")
     assert "nests too deeply" in err
+
+
+#: More digits than int() converts from text under the default limit (4,300).
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--manifold", "CP2", "--class", f"[{LONG}]"],
+        ["classify", "--manifold", f"[[{LONG}]]", "--class", "[1]"],
+        ["form", "augment", "--ring", "Z2", "--a", f"[[{LONG}]]"],
+        ["form", "augment", "--ring", "Z2", "--a", f"[[{LONG}T]]"],
+        ["form", "augment", "--ring", "laurent", "--a", f"[[t^{LONG}]]"],
+        ["form", "augment", "--ring", f"Z{LONG}", "--a", "[[1]]"],
+        ["form", "build-equivariant", "--q", "[[0,1],[1,0]]", "--t", "[[0,1],[1,0]]",
+         "--basis", f"[[{LONG},0]]"],
+    ],
+    ids=["class", "manifold", "constant", "coefficient", "exponent", "ring", "basis"],
+)
+def test_overlong_integer_literal_is_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_empty_diag_entry_is_parse_error(capsys):
