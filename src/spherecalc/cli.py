@@ -59,16 +59,21 @@ def resolve_budget(cli_value: int | None) -> int:
 # literal parsing
 
 
-def parse_int_matrix(text: str, what: str = "matrix", square: bool = True) -> Matrix:
-    """Strict JSON array-of-arrays of integers; ``what`` names it in errors."""
+def _load_json(text: str, what: str):
+    """``json.loads(text)``; every failure is a parse error naming ``what``."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON {what}: {exc.msg}", position=exc.pos) from exc
     except ValueError as exc:  # an integer literal longer than int() converts
         raise ParseError(f"invalid JSON {what}: an integer literal has too many digits") from exc
     except RecursionError as exc:
         raise ParseError(f"JSON {what} nests too deeply") from exc
+
+
+def parse_int_matrix(text: str, what: str = "matrix", square: bool = True) -> Matrix:
+    """Strict JSON array-of-arrays of integers; ``what`` names it in errors."""
+    data = _load_json(text, what)
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise ParseError(f"{what} literal must be a JSON array of arrays")
     for row in data:
@@ -81,14 +86,7 @@ def parse_int_matrix(text: str, what: str = "matrix", square: bool = True) -> Ma
 
 
 def parse_int_vector(text: str) -> tuple[int, ...]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON vector: {exc.msg}", position=exc.pos) from exc
-    except ValueError as exc:  # an integer literal longer than int() converts
-        raise ParseError("invalid JSON vector: an integer literal has too many digits") from exc
-    except RecursionError as exc:
-        raise ParseError("JSON vector nests too deeply") from exc
+    data = _load_json(text, "vector")
     if not isinstance(data, list):
         raise ParseError("class literal must be a JSON array of integers")
     for v in data:
@@ -234,15 +232,13 @@ def _parse_manifold_component(text: str) -> Matrix:
         return _BUILTIN_MATRICES[s]
     m = _DIAG_RE.match(s)
     if m:
-        body = m.group(1).strip()
-        try:
-            entries = [int(v) for v in body.split(",")] if body else []
-        except ValueError as exc:
-            raise ParseError(f"diag entries must be integers in {text!r}") from exc
-        return tuple(
-            tuple(entries[i] if i == j else 0 for j in range(len(entries)))
-            for i in range(len(entries))
-        )
+        body = m.group(1)
+        entries = [v.strip() for v in body.split(",")] if body.strip() else []
+        if not all(map(_INT_RE.match, entries)):
+            raise ParseError(f"diag entries must be integers in {text!r}")
+        # the first overlong entry raises, and no earlier entry contains it
+        values = [_to_int(v, m.start(1) + body.index(v)) for v in entries]
+        return block_diag(*[((v,),) for v in values])
     if s.startswith("["):
         return parse_int_matrix(s)
     raise ParseError(

@@ -10,12 +10,14 @@ length-d tuple) or ``LaurentElem.terms`` (sorted (exponent, coefficient)
 pairs, no zeros).  Both are canonical, so payload equality is element
 equality.  Every rule that reads a payload lives on the ring descriptor,
 ``CyclicRing`` or ``LaurentRing``: sum, product, negation, conjugate,
-augmentation, the printed and the JSON form, and the row operations of
-the congruence search in ``hermitian`` (a row scaled by a monomial
-c * T^k passed as the pair (k, c)).  The element operators are written
-once, on the base class of both element types, and each asks the
-element's descriptor ``ring`` for its rule.  Elements are built by their
-ring (``monomial``, ``from_int``, ``zero``, ``one``) or from their payload.
+augmentation, the printed and the JSON form, and the row rules of the
+congruence search in ``hermitian``, ``scale_row`` (by a monomial
+c * T^k passed as the pair (k, c)) and ``row_ok`` (the growth check);
+the search sums rows entrywise with ``add``.  The element operators are
+written once, on the base class of both element types, and each asks
+the element's descriptor ``ring`` for its rule.  Elements are built by
+their ring (``monomial``, ``from_int``, ``zero``, ``one``) or from their
+payload.
 
 >>> u = GroupRingElem(2, (1, 2))
 >>> str(u * u)
@@ -161,10 +163,6 @@ class CyclicRing(_RingDescriptor):
         return tuple([tuple([c * a for a in x[s:] + x[:s]]) for x in row])
 
     @staticmethod
-    def add_rows(r1, r2):
-        return tuple([tuple(map(int.__add__, x, y)) for x, y in zip(r1, r2)])
-
-    @staticmethod
     def row_ok(row, coeff_limit: int, exp_limit: int) -> bool:
         """Every coefficient within +-coeff_limit (exponents are bounded by d)."""
         for x in row:
@@ -249,11 +247,6 @@ class LaurentRing(_RingDescriptor):
         if c == 1:
             return tuple([tuple([(e + k, a) for e, a in x]) for x in row])
         return tuple([tuple([(e + k, c * a) for e, a in x]) for x in row])
-
-    @staticmethod
-    def add_rows(r1, r2):
-        add = LaurentRing.add
-        return tuple([add(x, y) if x and y else x or y for x, y in zip(r1, r2)])
 
     @staticmethod
     def row_ok(row, coeff_limit: int, exp_limit: int) -> bool:

@@ -8,21 +8,22 @@ invertible over the ring; witnesses are re-verified before being
 returned, and a witness that fails raises instead.
 
 The search is a breadth-first walk over products P of monomial scalings,
-swaps and monomial transvections, run on the packed payloads of the
-ring elements; it asks the ring descriptor (``groupring.CyclicRing`` or
+swaps and monomial transvections, run on the packed payloads of the ring
+elements; it asks the ring descriptor (``groupring.CyclicRing`` or
 ``groupring.LaurentRing``) for the payload arithmetic, so no payload
-rule lives here.  Each state carries (P, B, v) with B = P A0 P* and
-v = P z0.  A queue entry is a parent state and one generator; the
-child's B and v are derived from the parent's when the entry is popped,
-by updating one row and one column, so comparing forms needs no matrix
-product, and the child's P is built only if its form is new.  A state's
-children depend only on (B, v), so the search deduplicates on (B, v)
-alone: a form is expanded once, and the first P to reach it stays its
-witness.  The walk runs from both ends at once, forward from (A0, z0)
-and backward from (A1, z1) with the same generators, whose table is
-closed under inverses; when the sides reach a common form with P and
-Q, the witness is Q^-1 P.  The search takes
-only a node budget; the entry-growth limits are the module constants
+rule lives here.  A pointed form (A, z) is searched as the bordered form
+[[A, z], [z*, 0]], on which the generators act through the first m rows,
+so each state is one pair (P, B): B = P A0 P*, bordered by P z0 when
+pointed.  A queue entry is a parent state and one generator; the child's
+B is derived from the parent's when the entry is popped, by updating one
+row and one column, so comparing forms needs no matrix product, and the
+child's P is built only if its form is new.  A state's children depend
+only on B, so the search deduplicates on B alone: a form is expanded
+once, and the first P to reach it stays its witness.  The walk runs from
+both ends at once, forward from A0 and backward from A1 with the same
+generators, whose table is closed under inverses; when the sides reach a
+common form with P and Q, the witness is Q^-1 P.  The search takes only
+a node budget; the entry-growth limits are the module constants
 ``COEFF_LIMIT`` and ``EXP_LIMIT``, applied to P and Q alike.
 """
 
@@ -346,12 +347,13 @@ def _augmentation_refutation(form0: HermitianForm, form1: HermitianForm) -> str 
     d0, d1 = integer_det(a0), integer_det(a1)
     if d0 != d1:
         return f"augmented forms are not isometric over Z: determinant {d0} != {d1}"
-    s0, s1 = intlattice.signature(a0), intlattice.signature(a1)
-    if s0 != s1:
-        return f"augmented forms are not isometric over Z: signature {s0} != {s1}"
-    even0 = all(a0[i][i] % 2 == 0 for i in range(len(a0)))
-    even1 = all(a1[i][i] % 2 == 0 for i in range(len(a1)))
-    if even0 != even1:
+    inv0, inv1 = intlattice.form_invariants(a0), intlattice.form_invariants(a1)
+    if inv0.signature != inv1.signature:
+        return (
+            "augmented forms are not isometric over Z: "
+            f"signature {inv0.signature} != {inv1.signature}"
+        )
+    if inv0.parity != inv1.parity:
         return "augmented forms are not isometric over Z: parity differs"
     return None
 
@@ -408,13 +410,14 @@ def _pack_matrix(ring: Ring, rows) -> tuple:
     return tuple(tuple(map(pack, row)) for row in rows)
 
 
-def _child_form(gen, b, v, ring: Ring):
-    """(E B E*, E v) for the elementary matrix E of a packed generator.
+def _child_form(gen, b, ring: Ring):
+    """E B E* for the elementary matrix E of a packed generator.
 
     Scaling row i by u changes row i and column i of B and keeps B_ii,
     since u * conj(u) = 1; a swap permutes B; a transvection
     row_i += w * row_j changes row i and column i.  Columns follow from
-    rows because B stays hermitian.
+    rows because B stays hermitian.  A bordered form [[A, z], [z*, 0]]
+    becomes [[E A E*, E z], [(E z)*, 0]] the same way.
     """
     kind, i = gen[0], gen[1]
     m = len(b)
@@ -422,32 +425,23 @@ def _child_form(gen, b, v, ring: Ring):
         j = gen[2]
         perm = list(range(m))
         perm[i], perm[j] = j, i
-        b = tuple(tuple(b[r][s] for s in perm) for r in perm)
-        if v is not None:
-            v = tuple(v[r] for r in perm)
-        return b, v
+        return tuple(tuple(b[r][s] for s in perm) for r in perm)
     scale_row, add, conj = ring.scale_row, ring.add, ring.conj
     _, i, j, w = gen
     if kind == _SCALE:
         row = list(scale_row(w, b[i]))
         row[i] = b[i][i]
-        if v is not None:
-            v = v[:i] + scale_row(w, (v[i],)) + v[i + 1:]
     else:
         wb = scale_row(w, b[j])
-        row = list(ring.add_rows(b[i], wb))
+        row = list(map(add, b[i], wb))
         # B'_ii = B_ii + w B_ji + conj(w B_ji) + w conj(w) B_jj
         c = w[1]
         (cc_bjj,) = scale_row((0, c * c), (b[j][j],))
         row[i] = add(add(row[i], conj(wb[i])), cc_bjj)
-        if v is not None:
-            (wv,) = scale_row(w, (v[j],))
-            v = v[:i] + (add(v[i], wv),) + v[i + 1:]
     row = tuple(row)
-    b = tuple(
+    return tuple(
         row if r == i else b[r][:i] + (conj(row[r]),) + b[r][i + 1:] for r in range(m)
     )
-    return b, v
 
 
 def _apply(gen, p, ring: Ring):
@@ -463,27 +457,23 @@ def _apply(gen, p, ring: Ring):
     else:
         _, i, j, w = gen
         row = ring.scale_row(w, p[j])
-        rows[i] = ring.add_rows(p[i], row) if gen[0] == _ADD else row
+        rows[i] = tuple(map(ring.add, p[i], row)) if gen[0] == _ADD else row
     return tuple(rows)
 
 
-def _inverses(gens, ring: Ring) -> dict:
-    """Map each packed generator to its inverse, which is in ``gens`` too.
+def _inverse(gen, ring: Ring):
+    """The packed generator undoing ``gen``; it is in the table too.
 
     Scaling by c T^k is undone by c T^-k (exponent taken mod d over a
     cyclic ring), a swap by itself, and the transvection
     row_i += c T^k row_j by row_i += -c T^k row_j.
     """
-
-    def inverse(gen):
-        if gen[0] == _SWAP:
-            return gen
-        kind, i, j, (k, c) = gen
-        if kind == _ADD:
-            return kind, i, j, (k, -c)
-        return kind, i, j, (-k % ring.d if isinstance(ring, CyclicRing) else -k, c)
-
-    return {gen: inverse(gen) for gen in gens}
+    if gen[0] == _SWAP:
+        return gen
+    kind, i, j, (k, c) = gen
+    if kind == _ADD:
+        return kind, i, j, (k, -c)
+    return kind, i, j, (-k % ring.d if isinstance(ring, CyclicRing) else -k, c)
 
 
 def _path(reached: dict, key) -> list:
@@ -500,29 +490,30 @@ def _bidirectional_search(
 ) -> CongruenceOutcome:
     """Breadth-first search from both ends, deduplicated on forms.
 
-    The forward side walks (P A0 P*, P z0) from (A0, z0), the backward
-    side (Q A1 Q*, Q z1) from (A1, z1), both with the same generators.  A
+    The forward side walks P A0 P* from A0, the backward side Q A1 Q*
+    from A1, both with the same generators; a pointed search borders each
+    form by its point, [[A, z], [z*, 0]], so a state is one matrix.  A
     queue entry holds a parent's packed matrix, the parent's form and
     one generator, so expanding a node appends one entry per generator
     and shares the parent's matrix and form among them.  A child is
-    built only when its entry is popped: its form (B, v) is derived
-    first, and an entry whose form its side has already reached is
-    dropped uncounted; otherwise the child matrix is built and its one
-    changed row checked against the growth limits, and a child outside
-    them is dropped without reaching its form.  Children depend only on
-    (B, v), so the first matrix to reach a form stays its witness.
-    Equal matrices give equal forms, and the queues are first in, first
-    out, so no set of matrices is needed: a later copy of a matrix is
-    dropped as a repeated form, or for the limits that dropped the
-    first copy.
+    built only when its entry is popped: its form is derived first, and
+    an entry whose form its side has already reached is dropped
+    uncounted; otherwise the child matrix is built and its one changed
+    row checked against the growth limits, and a child outside them is
+    dropped without reaching its form.  Children depend only on the
+    form, so the first matrix to reach a form stays its witness.  Equal
+    matrices give equal forms, and the queues are first in, first out,
+    so no set of matrices is needed: a later copy of a matrix is dropped
+    as a repeated form, or for the limits that dropped the first copy.
 
     Each side records, per reached form, the parent form and the
     generator that reached it.  When a form popped on one side has been
-    reached on the other, P A0 P* = Q A1 Q* and P z0 = Q z1, so
-    W = Q^-1 P is a witness: P is rebuilt from the forward path, and Q^-1
-    P by applying the inverses of the backward path's generators to P,
-    last generator first.  Both start forms are reached before the first
-    pop, so identical endpoints give the identity at 0 nodes.
+    reached on the other, P A0 P* = Q A1 Q* (and P z0 = Q z1, read off
+    the border), so W = Q^-1 P is a witness: P is rebuilt from the
+    forward path, and Q^-1 P by applying the inverses of the backward
+    path's generators to P, last generator first.  Both start forms are
+    reached before the first pop, so identical endpoints give the
+    identity at 0 nodes.
 
     The side with the shorter queue pops next, the forward side on a tie.
     A node is a distinct form popped on either side, the meeting form
@@ -535,10 +526,14 @@ def _bidirectional_search(
     gens = _generators(ring, m)
     row_ok = ring.row_ok
     start = _pack_matrix(ring, ring_identity(ring, m))
-    v0 = z1 = None
+    ends = [form0.matrix, form1.matrix]
     if point is not None:
-        v0, z1 = _pack_matrix(ring, point)
-    ends = [(_pack_matrix(ring, form0.matrix), v0), (_pack_matrix(ring, form1.matrix), z1)]
+        corner = (ring.zero(),)
+        ends = [
+            [row + (x,) for row, x in zip(a, z)] + [tuple(x.conjugate() for x in z) + corner]
+            for a, z in zip(ends, point)
+        ]
+    ends = [_pack_matrix(ring, a) for a in ends]
     queues = [deque([(start, key, None)]) for key in ends]
     reached = [{key: None} for key in ends]
     meet = ends[0] if ends[0] == ends[1] else None
@@ -557,7 +552,7 @@ def _bidirectional_search(
         side = 1 if len(queues[1]) < len(queues[0]) else 0
         p, key, made_by = queues[side].popleft()
         if made_by is not None:
-            parent, key = key, _child_form(made_by, *key, ring)
+            parent, key = key, _child_form(made_by, key, ring)
             if key in reached[side]:
                 continue
             p = _apply(made_by, p, ring)
@@ -572,9 +567,8 @@ def _bidirectional_search(
     witness = start
     for gen in reversed(_path(reached[0], meet)):
         witness = _apply(gen, witness, ring)
-    inverse = _inverses(gens, ring)
     for gen in _path(reached[1], meet):
-        witness = _apply(inverse[gen], witness, ring)
+        witness = _apply(_inverse(gen, ring), witness, ring)
     return CongruenceOutcome(
         SEARCH_FOUND,
         witness=_verified_witness(witness, form0, form1, point),

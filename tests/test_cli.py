@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import itertools
 import json
@@ -599,7 +600,21 @@ def test_overlong_integer_literal_is_parse_error(capsys, argv):
 def test_empty_diag_entry_is_parse_error(capsys):
     code, _, err = run(capsys, "classify", "--manifold", "diag(1,,2)", "--class", "[1,0]")
     assert code == 2
-    assert "diag" in err
+    assert err == "error: diag entries must be integers in 'diag(1,,2)'\n"
+
+
+def test_overlong_diag_entry_names_the_digit_limit(capsys):
+    code, out, err = run(capsys, "classify", "--manifold", f"diag(1, {LONG})", "--class", "[1,0]")
+    assert code == 2
+    assert out == ""
+    assert err == "error: integer literal has too many digits (at position 8)\n"
+
+
+def test_importing_the_main_module_does_not_run_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["spherecalc", "--version"])
+    monkeypatch.delitem(sys.modules, "spherecalc.__main__", raising=False)
+    importlib.import_module("spherecalc.__main__")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_catalog_rejects_unknown_schema():

@@ -34,11 +34,8 @@ def laurent_elem(draw):
 
 
 def test_module_doctests():
-    # every module of the package; __main__ runs the CLI when imported
     names = ["spherecalc"] + [
-        f"spherecalc.{m.name}"
-        for m in pkgutil.iter_modules(spherecalc.__path__)
-        if m.name != "__main__"
+        f"spherecalc.{m.name}" for m in pkgutil.iter_modules(spherecalc.__path__)
     ]
     for name in names:
         result = doctest.testmod(importlib.import_module(name))

@@ -518,10 +518,6 @@ def test_packed_arithmetic_matches_elements(ring):
         assert ring.add(px, py) == ring.pack(oracles.element_sum(x, y))
         assert ring.conj(px) == ring.pack(oracles.element_conj(x))
         assert ring.scale_row(w, (px, py)) == (ring.pack(u * x), ring.pack(u * y))
-        assert ring.add_rows((px, py), (py, px)) == (
-            ring.pack(oracles.element_sum(x, y)),
-            ring.pack(oracles.element_sum(y, x)),
-        )
         # the element operators run on the same payload arithmetic
         assert x + y == oracles.element_sum(x, y)
         assert x.conjugate() == oracles.element_conj(x)
@@ -536,7 +532,9 @@ def test_packed_kernel_tracks_element_products_along_random_paths(ring):
             a0 = _random_hermitian(rng, ring, m)
             z0 = tuple(_random_element(rng, ring) for _ in range(m))
             p = ring_identity(ring, m)
-            b, v = _pack(ring, a0), _pack(ring, (z0,))[0]
+            # the point as the border of the form: [[A0, z0], [z0*, 0]]
+            border = tuple(x.conjugate() for x in z0) + (ring.zero(),)
+            b = _pack(ring, [row + (x,) for row, x in zip(a0, z0)] + [border])
             for _ in range(6):
                 packed = _pack(ring, p)
                 kept = []
@@ -553,11 +551,14 @@ def test_packed_kernel_tracks_element_products_along_random_paths(ring):
                         kept.append(gen)
                 gen = rng.choice(kept)
                 p = oracles.apply_generator(gen, p, ring)
-                b, v = hermitian._child_form(gen, b, v, ring)
-                assert _unpack(ring, b) == ring_mat_mul(
+                b = hermitian._child_form(gen, b, ring)
+                bordered = _unpack(ring, b)
+                pz = ring_mat_vec(p, z0, ring)
+                assert tuple(row[:m] for row in bordered[:m]) == ring_mat_mul(
                     ring_mat_mul(p, a0, ring), conj_transpose(p), ring
                 )
-                assert _unpack(ring, (v,))[0] == ring_mat_vec(p, z0, ring)
+                assert tuple(row[m] for row in bordered[:m]) == pz
+                assert bordered[m] == tuple(x.conjugate() for x in pz) + (ring.zero(),)
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
@@ -565,7 +566,7 @@ def test_every_generator_inverse_is_in_the_table(ring):
     rng = random.Random(f"inverses:{ring}")
     for m in range(1, 4):
         gens = hermitian._generators(ring, m)
-        inverse = hermitian._inverses(gens, ring)
+        inverse = {gen: hermitian._inverse(gen, ring) for gen in gens}
         assert list(inverse) == gens
         assert set(inverse.values()) == set(gens)
         p = tuple(tuple(_random_element(rng, ring) for _ in range(m)) for _ in range(m))
@@ -601,6 +602,30 @@ def test_search_finds_random_short_paths_from_both_ends(ring):
                 assert verify_congruence(out.witness, form0, form1)
                 if pointed:
                     assert ring_mat_vec(out.witness, z0, ring) == z1
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_pointed_search_with_zero_points_matches_the_plain_search(ring):
+    # a zero point borders each form with a zero row and column, which no
+    # generator changes, so the pointed search walks the plain one
+    rng = random.Random(f"zero-point:{ring}")
+    gens = hermitian._generators(ring, 2)
+    zero = (ring.zero(), ring.zero())
+    for _ in range(3):
+        a0 = _random_hermitian(rng, ring, 2)
+        p = ring_identity(ring, 2)
+        for _ in range(rng.randint(1, 3)):
+            p = oracles.apply_generator(rng.choice(gens), p, ring)
+        form0 = HermitianForm(ring, a0)
+        form1 = HermitianForm(
+            ring, ring_mat_mul(ring_mat_mul(p, a0, ring), conj_transpose(p), ring)
+        )
+        for budget in (3, 2_000):  # a tight budget and an ample one
+            plain = congruence_search(form0, form1, budget)
+            pointed = pointed_congruence_search(
+                PointedHermitianForm(form0, zero), PointedHermitianForm(form1, zero), budget
+            )
+            assert pointed == plain
 
 
 # ---------------------------------------------------------------------------
