@@ -312,16 +312,21 @@ class CatalogFile:
 
     @classmethod
     def from_json_text(cls, text: str) -> "CatalogFile":
-        data = json.loads(text)
+        data = _load_json(text, "catalog")
+        if not isinstance(data, dict):
+            raise ParseError("a catalog must be a JSON object")
         if data.get("schema") != CATALOG_SCHEMA:
             raise ParseError(f"unsupported catalog schema {data.get('schema')!r}")
-        return cls(
-            manifold=ManifoldSpec.from_json_dict(data["manifold"]),
-            max_abs=int(data["max_abs"]),
-            reports=tuple(classifier.report_from_json_dict(r) for r in data["reports"]),
-            tool_version=data["tool_version"],
-            generated_at=data["generated_at"],
-        )
+        try:
+            return cls(
+                manifold=ManifoldSpec.from_json_dict(data["manifold"]),
+                max_abs=int(data["max_abs"]),
+                reports=tuple(classifier.report_from_json_dict(r) for r in data["reports"]),
+                tool_version=data["tool_version"],
+                generated_at=data["generated_at"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed catalog: {exc!r}") from exc
 
 
 def _now() -> str:

@@ -7,14 +7,18 @@ search always satisfies ``P * A0 * conj(P)^T == A1`` exactly and is
 invertible over the ring; witnesses are re-verified before being
 returned, and a witness that fails raises instead.
 
+Every matrix computation runs on the packed payloads of the entries,
+with the payload arithmetic of the ring descriptor (``groupring``), and
+a form packs its matrix once, when it is built.  Elements appear only at
+the boundary: parsing, printing, JSON and the witness; ``ring_mat_mul``,
+``ring_mat_vec``, ``conj_transpose`` and ``ring_det`` pack their
+arguments, run the one packed kernel and unpack its result.
+
 The search is a breadth-first walk over products P of monomial scalings,
-swaps and monomial transvections, run on the packed payloads of the ring
-elements; it asks the ring descriptor (``groupring.CyclicRing`` or
-``groupring.LaurentRing``) for the payload arithmetic, so no payload
-rule lives here.  A pointed form (A, z) is searched as the bordered form
-[[A, z], [z*, 0]], on which the generators act through the first m rows,
-so each state is one pair (P, B): B = P A0 P*, bordered by P z0 when
-pointed.  A queue entry is a parent state and one generator; the child's
+swaps and monomial transvections.  A pointed form (A, z) is searched as
+the bordered form [[A, z], [z*, 0]], on which the generators act through
+the first m rows, so each state is one pair (P, B): B = P A0 P*,
+bordered by P z0 when pointed.  A queue entry is a parent state and one generator; the child's
 B is derived from the parent's when the entry is popped, by updating one
 row and one column, so comparing forms needs no matrix product, and the
 child's P is built only if its form is new.  A state's children depend
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd
 
 from . import intlattice
@@ -64,12 +68,50 @@ EXP_LIMIT = 8
 # matrix helpers over a ring
 
 
-def _ring_matrix(ring: Ring, rows):
-    out = tuple(tuple(ring.coerce(v) for v in row) for row in rows)
-    for row in out:
-        if len(row) != len(out):
-            raise DimensionMismatch("matrix over the ring is not square")
+def _pack_matrix(ring: Ring, rows) -> tuple:
+    """The payloads of a square matrix whose entries coerce into ``ring``."""
+    pack, coerce = ring.pack, ring.coerce
+    out = tuple(tuple([pack(coerce(v)) for v in row]) for row in rows)
+    if any(len(row) != len(out) for row in out):
+        raise DimensionMismatch("matrix over the ring is not square")
     return out
+
+
+def _unpack_matrix(ring: Ring, p) -> tuple:
+    return tuple(tuple(map(ring.unpack, row)) for row in p)
+
+
+def _mat_mul(a, b, ring: Ring) -> tuple:
+    add, mul = ring.add, ring.mul
+    cols = tuple(zip(*b))
+    return tuple(tuple([reduce(add, map(mul, row, col)) for col in cols]) for row in a)
+
+
+def _conj_transpose(a, ring: Ring) -> tuple:
+    conj = ring.conj
+    return tuple(tuple(map(conj, col)) for col in zip(*a))
+
+
+def _det(a, ring: Ring):
+    add, mul, neg, nonzero = ring.add, ring.mul, ring.neg, ring.nonzero
+    m = len(a)
+    prev = {0: ring.pack(ring.one())}
+    for r in range(m):
+        cur: dict[int, object] = {}
+        for mask, val in prev.items():
+            for j in range(m):
+                bit = 1 << j
+                if mask & bit or not nonzero(a[r][j]):
+                    continue
+                contrib = mul(val, a[r][j])
+                if bin(mask >> (j + 1)).count("1") % 2:
+                    contrib = neg(contrib)
+                new = mask | bit
+                cur[new] = add(cur[new], contrib) if new in cur else contrib
+        prev = {k: v for k, v in cur.items() if nonzero(v)}
+        if not prev:
+            return ring.pack(ring.zero())
+    return prev[(1 << m) - 1]
 
 
 def ring_identity(ring: Ring, m: int):
@@ -78,33 +120,20 @@ def ring_identity(ring: Ring, m: int):
 
 
 def conj_transpose(rows):
-    m = len(rows)
-    return tuple(tuple(rows[j][i].conjugate() for j in range(m)) for i in range(m))
+    if not rows:
+        return ()
+    ring = rows[0][0].ring
+    return _unpack_matrix(ring, _conj_transpose(_pack_matrix(ring, rows), ring))
 
 
 def ring_mat_mul(a, b, ring: Ring):
-    m = len(a)
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = ring.zero()
-            for k in range(m):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    p = _mat_mul(_pack_matrix(ring, a), _pack_matrix(ring, b), ring)
+    return _unpack_matrix(ring, p)
 
 
 def ring_mat_vec(a, v, ring: Ring):
-    m = len(a)
-    out = []
-    for i in range(m):
-        acc = ring.zero()
-        for k in range(m):
-            acc = acc + a[i][k] * v[k]
-        out.append(acc)
-    return tuple(out)
+    column = tuple([(ring.pack(ring.coerce(x)),) for x in v])
+    return tuple(ring.unpack(x) for (x,) in _mat_mul(_pack_matrix(ring, a), column, ring))
 
 
 def ring_det(rows, ring: Ring):
@@ -113,29 +142,10 @@ def ring_det(rows, ring: Ring):
     Laplace expansion evaluated by dynamic programming over column
     subsets: division-free, so it is valid even when the ring has zero
     divisors (the cyclic group rings do).  Costs about m * 2^m ring
-    multiplications, which is fine at the sizes that occur here.
+    multiplications, which is fine at the sizes that occur here.  It runs
+    on the one packed layer: only its argument and result are elements.
     """
-    m = len(rows)
-    if m == 0:
-        return ring.one()
-    prev = {0: ring.one()}
-    for r in range(m):
-        cur: dict[int, object] = {}
-        for mask, val in prev.items():
-            for j in range(m):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                entry = rows[r][j]
-                if not entry:
-                    continue
-                sign = -1 if bin(mask >> (j + 1)).count("1") % 2 else 1
-                contrib = val * entry if sign > 0 else -(val * entry)
-                new = mask | bit
-                cur[new] = cur[new] + contrib if new in cur else contrib
-        prev = {k: v for k, v in cur.items() if v} or {0: ring.zero()}
-    full = (1 << m) - 1
-    return prev.get(full, ring.zero())
+    return ring.unpack(_det(_pack_matrix(ring, rows), ring))
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +158,15 @@ class HermitianForm:
 
     ring: Ring
     matrix: tuple
+    packed: tuple = field(init=False, repr=False, compare=False)  # what computations read
 
     def __post_init__(self):
-        rows = _ring_matrix(self.ring, self.matrix)
-        if rows != conj_transpose(rows):
+        rows = tuple(tuple(map(self.ring.coerce, row)) for row in self.matrix)
+        packed = _pack_matrix(self.ring, rows)
+        if packed != _conj_transpose(packed, self.ring):
             raise InvalidForm("matrix is not hermitian (conjugate-transpose differs)")
         object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "packed", packed)
 
     @property
     def size(self) -> int:
@@ -161,7 +174,7 @@ class HermitianForm:
 
     @cached_property
     def det(self):
-        return ring_det(self.matrix, self.ring)
+        return self.ring.unpack(_det(self.packed, self.ring))
 
     def display(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.matrix]
@@ -187,17 +200,23 @@ class PointedHermitianForm:
     z need not be primitive: ``augmented_divisibility``, the gcd of its
     augmentation vector, is exposed rather than enforced (1 means
     primitive), so that incompatible pointed pairs can still be fed to the
-    search and refuted there.
+    search and refuted there.  ``packed`` is the bordered form
+    [[A, z], [z*, 0]] the search walks; its last column is z.
     """
 
     form: HermitianForm
     z: tuple
+    packed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vec = tuple(self.form.ring.coerce(v) for v in self.z)
+        ring = self.form.ring
+        vec = tuple(ring.coerce(v) for v in self.z)
         if len(vec) != self.form.size:
             raise DimensionMismatch("pointed class length differs from the form size")
+        rows = [row + (v,) for row, v in zip(self.form.matrix, vec)]
+        border = tuple(v.conjugate() for v in vec) + (0,)
         object.__setattr__(self, "z", vec)
+        object.__setattr__(self, "packed", _pack_matrix(ring, rows + [border]))
 
     @property
     def augmented_divisibility(self) -> int:
@@ -290,7 +309,8 @@ def build_equivariant_form(equiv: EquivariantIntegerForm, basis) -> HermitianFor
 
 def augment_form(form: HermitianForm) -> Matrix:
     """Entrywise T -> 1; a symmetric integer matrix, not necessarily unimodular."""
-    return augmented_isometry(form.matrix)
+    augment = form.ring.augment
+    return tuple(tuple(map(augment, row)) for row in form.packed)
 
 
 def is_nonsingular(form: HermitianForm) -> bool:
@@ -328,10 +348,16 @@ class CongruenceOutcome:
 
 
 def verify_congruence(p, form0: HermitianForm, form1: HermitianForm) -> bool:
-    """Exact check that P A0 conj(P)^T = A1 and that P is invertible."""
+    """Exact check that P A0 conj(P)^T = A1 and that P is invertible.
+
+    Runs on the one packed layer with the ring's ``mul``, ``add`` and
+    ``conj``, never on the search kernel (``_child_form``, ``_apply``)
+    whose witnesses it checks; of the results only det P is unpacked.
+    """
     ring = form0.ring
-    product = ring_mat_mul(ring_mat_mul(p, form0.matrix, ring), conj_transpose(p), ring)
-    return product == form1.matrix and ring_det(p, ring).is_unit()
+    q = _pack_matrix(ring, p)  # a P of another size gives a product of that size
+    product = _mat_mul(_mat_mul(q, form0.packed, ring), _conj_transpose(q, ring), ring)
+    return product == form1.packed and ring.unpack(_det(q, ring)).is_unit()
 
 
 def _augmentation_refutation(form0: HermitianForm, form1: HermitianForm) -> str | None:
@@ -403,11 +429,6 @@ def _generators(ring: Ring, m: int):
                 for w in [(k, c) for c in (1, -1, 2, -2) for k in exps]:
                     gens.append((_ADD, i, j, w))
     return gens
-
-
-def _pack_matrix(ring: Ring, rows) -> tuple:
-    pack = ring.pack
-    return tuple(tuple(map(pack, row)) for row in rows)
 
 
 def _child_form(gen, b, ring: Ring):
@@ -486,7 +507,7 @@ def _path(reached: dict, key) -> list:
 
 
 def _bidirectional_search(
-    form0: HermitianForm, form1: HermitianForm, budget: int, point=None
+    form0: HermitianForm, form1: HermitianForm, budget: int, pointed=None
 ) -> CongruenceOutcome:
     """Breadth-first search from both ends, deduplicated on forms.
 
@@ -526,14 +547,7 @@ def _bidirectional_search(
     gens = _generators(ring, m)
     row_ok = ring.row_ok
     start = _pack_matrix(ring, ring_identity(ring, m))
-    ends = [form0.matrix, form1.matrix]
-    if point is not None:
-        corner = (ring.zero(),)
-        ends = [
-            [row + (x,) for row, x in zip(a, z)] + [tuple(x.conjugate() for x in z) + corner]
-            for a, z in zip(ends, point)
-        ]
-    ends = [_pack_matrix(ring, a) for a in ends]
+    ends = [end.packed for end in (pointed or (form0, form1))]
     queues = [deque([(start, key, None)]) for key in ends]
     reached = [{key: None} for key in ends]
     meet = ends[0] if ends[0] == ends[1] else None
@@ -571,19 +585,21 @@ def _bidirectional_search(
         witness = _apply(_inverse(gen, ring), witness, ring)
     return CongruenceOutcome(
         SEARCH_FOUND,
-        witness=_verified_witness(witness, form0, form1, point),
+        witness=_verified_witness(witness, form0, form1, pointed),
         nodes_explored=nodes,
     )
 
 
-def _verified_witness(p, form0: HermitianForm, form1: HermitianForm, point):
+def _verified_witness(p, form0: HermitianForm, form1: HermitianForm, pointed):
     """Unpack a packed witness and re-verify it exactly; raise if it fails."""
-    unpack = form0.ring.unpack
-    witness = tuple(tuple(map(unpack, row)) for row in p)
+    ring = form0.ring
+    witness = _unpack_matrix(ring, p)
     if not verify_congruence(witness, form0, form1):
         raise WitnessVerificationFailed("search witness fails P A0 conj(P)^T == A1")
-    if point is not None and ring_mat_vec(witness, point[0], form0.ring) != point[1]:
-        raise WitnessVerificationFailed("search witness fails P z0 == z1")
+    if pointed is not None:
+        z0, z1 = [tuple(row[-1:] for row in end.packed[:-1]) for end in pointed]
+        if _mat_mul(p, z0, ring) != z1:  # the points, as columns
+            raise WitnessVerificationFailed("search witness fails P z0 == z1")
     return witness
 
 
@@ -625,8 +641,7 @@ def _search(form0, form1, budget, pointed=None):
     )
     if reason:
         return CongruenceOutcome(SEARCH_DISPROVEN, reason=reason)
-    point = None if pointed is None else (pointed[0].z, pointed[1].z)
-    return _bidirectional_search(form0, form1, budget, point)
+    return _bidirectional_search(form0, form1, budget, pointed)
 
 
 def congruence_search(

@@ -5,8 +5,8 @@ come from Sturm-sequence root counting on the characteristic polynomial,
 characteristic classes from brute force over (Z/2)^n, group-ring units
 from an exhaustive bounded inverse search, the existence criteria
 from a literal Fraction evaluation of the two defining conditions, and
-the congruence-search generators from element products, with sums and
-conjugates formed outside the packed ring arithmetic.
+the congruence-search generators from element products, and ring sums,
+products and conjugates formed outside the packed ring arithmetic.
 """
 
 from __future__ import annotations
@@ -131,6 +131,25 @@ def element_sum(x, y):
     if isinstance(x, GroupRingElem):
         return GroupRingElem(x.d, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
     return LaurentElem(x.terms + y.terms)
+
+
+def element_product(x, y):
+    """x * y as the convolution read off the definition, without ``ring.mul``.
+
+    The coefficient of T^k in a cyclic product is the sum of x_i y_j over
+    i + j = k mod d; a Laurent product lists every product term and leaves
+    merging equal exponents and dropping zeros to the constructor.
+    """
+    if isinstance(x, GroupRingElem):
+        d = x.d
+        return GroupRingElem(
+            d,
+            tuple(
+                sum(x.coeffs[i] * y.coeffs[j] for i in range(d) for j in range(d) if (i + j) % d == k)
+                for k in range(d)
+            ),
+        )
+    return LaurentElem(tuple((e1 + e2, c1 * c2) for e1, c1 in x.terms for e2, c2 in y.terms))
 
 
 def element_conj(x):

@@ -622,6 +622,39 @@ def test_catalog_rejects_unknown_schema():
         cli.CatalogFile.from_json_text('{"schema": "something-else/9"}')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("{", "invalid JSON catalog"), ("[]", "JSON object"), ('"catalog"', "JSON object")],
+)
+def test_catalog_rejects_malformed_json(text, message):
+    with pytest.raises(ParseError, match=message):
+        cli.CatalogFile.from_json_text(text)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_abs", None),  # None deletes the key
+        ("reports", None),
+        ("manifold", None),
+        ("max_abs", "two"),
+        ("reports", 5),
+        ("reports", [7]),
+        ("manifold", []),
+        ("manifold", {"name": "CP2", "matrix": 1, "ks": 0}),
+    ],
+)
+def test_catalog_with_a_missing_or_mistyped_key_is_a_parse_error(key, value):
+    data = in_memory_catalog(cli.parse_manifold_spec("CP2"), 1).to_json_dict()
+    assert cli.CatalogFile.from_json_text(json.dumps(data)).max_abs == 1
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    with pytest.raises(ParseError, match="malformed catalog"):
+        cli.CatalogFile.from_json_text(json.dumps(data))
+
+
 def test_parser_fuzz_raises_only_parse_errors():
     import random
 

@@ -119,6 +119,33 @@ def test_ring_axioms_laurent(u, v, w):
     assert u - u == LaurentRing().zero()
 
 
+@pytest.mark.parametrize(
+    "ring", [CyclicRing(d) for d in range(2, 8)] + [LaurentRing()], ids=str
+)
+def test_packed_product_matches_the_convolution_oracle(ring):
+    rng = random.Random(f"product:{ring}")
+
+    def element():
+        if isinstance(ring, CyclicRing):
+            return GroupRingElem(ring.d, tuple(rng.randint(-3, 3) for _ in range(ring.d)))
+        n = rng.randint(0, 4)
+        return LaurentElem(tuple((rng.randint(-4, 4), rng.randint(-3, 3)) for _ in range(n)))
+
+    one, t = ring.one(), ring.monomial(1)
+    # zero operands, and cancelling terms: (1 - t)(1 + t) = 1 - t^2, and
+    # over Z_d the norm 1 + T + ... + T^(d-1) times 1 - T is zero
+    pairs = [(ring.zero(), element()), (element(), ring.zero()), (one - t, one + t)]
+    if isinstance(ring, CyclicRing):
+        norm = GroupRingElem(ring.d, (1,) * ring.d)
+        pairs.append((norm, one - t))
+        assert oracles.element_product(norm, one - t) == ring.zero()
+    pairs += [(element(), element()) for _ in range(200)]
+    for x, y in pairs:
+        expected = oracles.element_product(x, y)
+        assert ring.mul(ring.pack(x), ring.pack(y)) == ring.pack(expected)
+        assert x * y == expected
+
+
 MIXED_PAIRS = [
     (CyclicRing(2).one(), CyclicRing(3).one()),
     (CyclicRing(2).one(), LaurentRing().one()),

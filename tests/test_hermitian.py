@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -35,6 +36,7 @@ from spherecalc.intlattice import H_MATRIX, block_diag
 Z2 = CyclicRing(2)
 L = LaurentRing()
 HH = block_diag(H_MATRIX, H_MATRIX)
+KERNEL_RINGS = [CyclicRing(2), CyclicRing(3), CyclicRing(4), CyclicRing(5), L]
 
 FORM_1 = HermitianForm(Z2, ((1,),))
 FORM_T = HermitianForm(Z2, ((Z2.monomial(1),),))
@@ -77,16 +79,17 @@ def test_pointed_form_length_check():
 
 
 def _permutation_det(rows, ring):
+    """The Leibniz expansion, in the oracles' sums and products, not the ring's."""
     m = len(rows)
     total = ring.zero()
     for perm in itertools.permutations(range(m)):
         inversions = sum(
             1 for i in range(m) for j in range(i + 1, m) if perm[i] > perm[j]
         )
-        prod = ring.one()
+        prod = ring.from_int(-1 if inversions % 2 else 1)
         for i in range(m):
-            prod = prod * rows[i][perm[i]]
-        total = total + (prod if inversions % 2 == 0 else -prod)
+            prod = oracles.element_product(prod, rows[i][perm[i]])
+        total = oracles.element_sum(total, prod)
     return total
 
 
@@ -116,6 +119,69 @@ def test_ring_det_matches_permutation_expansion():
 
 def test_ring_det_empty_is_one():
     assert ring_det((), L) == L.one()
+
+
+def _oracle_mat_mul(a, b, ring):
+    """A B entry by entry, in the oracles' sums and products."""
+    return tuple(
+        tuple(
+            functools.reduce(
+                oracles.element_sum,
+                [oracles.element_product(x, y) for x, y in zip(row, col)],
+                ring.zero(),
+            )
+            for col in zip(*b)
+        )
+        for row in a
+    )
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+def test_matrix_helpers_match_the_oracles(ring):
+    rng = random.Random(f"matrices:{ring}")
+    for m in range(1, 5):
+        for _ in range(4):
+            a, b = [
+                tuple(tuple(_random_element(rng, ring) for _ in range(m)) for _ in range(m))
+                for _ in range(2)
+            ]
+            if m > 1 and rng.random() < 0.3:
+                a = a[:-1] + a[:1]  # a repeated row: the determinant is zero
+            v = tuple(_random_element(rng, ring) for _ in range(m))
+            assert ring_mat_mul(a, b, ring) == _oracle_mat_mul(a, b, ring)
+            column = _oracle_mat_mul(a, tuple((x,) for x in v), ring)
+            assert ring_mat_vec(a, v, ring) == tuple(row[0] for row in column)
+            assert conj_transpose(a) == tuple(
+                tuple(map(oracles.element_conj, col)) for col in zip(*a)
+            )
+            assert ring_det(a, ring) == _permutation_det(a, ring)
+
+
+def test_verify_congruence_needs_a_unit_and_the_exact_product():
+    z4 = CyclicRing(4)
+    for ring, nonunit in ((z4, z4.from_int(2)), (L, L.one() + L.monomial(1))):
+        zero, one = HermitianForm(ring, ((0,),)), HermitianForm(ring, ((1,),))
+        minus_one = HermitianForm(ring, ((-1,),))
+        # P 0 P* = 0 for every P, so only the determinant can reject P
+        assert not verify_congruence(((nonunit,),), zero, zero)
+        assert verify_congruence(((ring.one(),),), zero, zero)
+        # a unit P whose product differs
+        t = ring.monomial(1)
+        assert verify_congruence(((t,),), one, one)
+        assert not verify_congruence(((t,),), one, minus_one)
+        # a P of another size
+        assert not verify_congruence(ring_identity(ring, 2), one, one)
+
+
+def test_pointed_witness_that_misses_the_point_raises():
+    form = extend_integer_form(H_MATRIX, Z2)
+    e1 = PointedHermitianForm(form, (Z2.one(), Z2.zero()))
+    e2 = PointedHermitianForm(form, (Z2.zero(), Z2.one()))
+    identity = hermitian._pack_matrix(Z2, ring_identity(Z2, 2))
+    assert hermitian._verified_witness(identity, form, form, (e1, e1)) == ring_identity(Z2, 2)
+    # the identity carries A to A, but e1 to e1, not to e2
+    with pytest.raises(WitnessVerificationFailed, match="z0 == z1"):
+        hermitian._verified_witness(identity, form, form, (e1, e2))
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +526,6 @@ def test_search_raises_when_the_witness_fails_verification(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the packed search kernel against element arithmetic
-
-KERNEL_RINGS = [CyclicRing(2), CyclicRing(3), CyclicRing(4), CyclicRing(5), L]
 
 
 def _random_element(rng, ring):
