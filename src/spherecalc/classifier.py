@@ -18,10 +18,11 @@ Every verdict is a function of b2, sigma, ks and three invariants of the
 class: its divisibility d, the square y.y of y = x/d, and whether x is
 characteristic.  One private function, ``_verdict``, holds all the rules;
 ``classify`` and the single-rule functions compute the invariants of one
-class and read their answer off it.  ``walk_box`` yields the invariants of
-every class in a coordinate box by an odometer walk that costs O(1) per
-class in the innermost coordinate, and ``enumerate_representable`` builds
-its reports from that walk.
+class and read their answer off it.  ``walk_rows`` walks a coordinate box
+a row at a time with one odometer: a row is the run of the last
+coordinate, and it comes with the lazy invariants of its classes at O(1)
+cost per class.  ``walk_box`` expands the rows into classes, and
+``enumerate_representable`` builds its reports from that.
 """
 
 from __future__ import annotations
@@ -330,31 +331,62 @@ def classify(manifold: FourManifold, x) -> SphereClassReport:
 # the box
 
 
-def walk_box(manifold: FourManifold, max_abs: int) -> Iterator[tuple[tuple[int, ...], int, int, bool]]:
-    """Yield (x, divisibility, x.x, characteristic) for every class in the box.
+def _row_keys(g: int, hh: int, a: int, characteristic: bool, run: range, q_last: int, w_last: int):
+    """(divisibility, x.x, characteristic) of prefix + (t,) for t in ``run``, lazily.
 
-    The box holds the classes with coordinates in [-max_abs, max_abs], and
-    they come in lexicographic order.  An odometer walks the leading n-1
-    coordinates and carries h, Qh and h.h for h = (x_0, ..., x_{n-2}, 0):
-    stepping coordinate k by delta changes h.h by 2 delta (Qh)_k +
-    delta^2 Q_kk and Qh by delta Q[k].  The last coordinate t runs inside,
-    where x.x = h.h + 2t (Qh)_{n-1} + t^2 Q_{n-1,n-1}.  The characteristic
-    classes are the coset w + 2Z^n (``intlattice.characteristic_vector``),
-    so the flag is a parity comparison with w.
+    ``g``, ``hh``, ``a`` and ``characteristic`` are gcd(prefix), h.h,
+    2(Qh)_{n-1} and the prefix's flag for h = (prefix, 0); as arguments they
+    are bound here, so a row's keys stay valid after the walk moves on.
+    """
+    return (
+        (gcd(g, t), hh + t * (a + t * q_last), characteristic and t & 1 == w_last)
+        for t in run
+    )
+
+
+def walk_rows(
+    manifold: FourManifold, max_abs: int
+) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, int, bool]]]]:
+    """Yield (prefix, keys) for every row of the box, in lexicographic order.
+
+    The box holds the classes with coordinates in [-max_abs, max_abs].  A
+    row is the run of the last coordinate t behind a fixed prefix of the
+    other n-1, and ``keys`` lazily yields (divisibility, x.x,
+    characteristic) of prefix + (t,) for t = -max_abs, ..., max_abs, so a
+    long row costs no memory until it is read.  With h = (prefix, 0),
+    x.x = h.h + t (2(Qh)_{n-1} + t Q_{n-1,n-1}), the divisibility is
+    gcd(gcd(prefix), t), and the characteristic classes are the coset
+    w + 2Z^n (``intlattice.characteristic_vector``), so the flag is a
+    parity comparison with w.  Rank 0 has the one row ((), keys) whose one
+    class is ().
+
+    One odometer walks the planes, the leading n-2 coordinates, and
+    carries Qh and h.h for h = (x_0, ..., x_{n-3}, 0, 0): stepping
+    coordinate k by delta changes h.h by 2 delta (Qh)_k + delta^2 Q_kk and
+    Qh by delta Q[k].  Inside a plane the next-to-last coordinate s moves
+    h.h and (Qh)_{n-1} by scalars, so the vector update runs once per
+    plane, not once per row.
     """
     if max_abs < 0:
         raise ValueError("max_abs must be nonnegative")
     q = manifold.form.matrix
     n = len(q)
     if n == 0:
-        yield (), 0, 0, True
+        yield (), iter([(0, 0, True)])
         return
     w = intlattice.characteristic_vector(q)
     m = max_abs
+    run = range(-m, m + 1)
     last = n - 1
-    head = [-m] * last
-    qh = [-m * sum(row[:last]) for row in q]
-    hh = -m * sum(qh[:last])
+    q_last, w_last = q[last][last], w[last]
+    if n == 1:
+        yield (), _row_keys(0, 0, 0, True, run, q_last, w_last)
+        return
+    p = n - 2
+    q_pp, q_pl, w_p = q[p][p], q[p][last], w[p]
+    head = [-m] * p
+    qh = [-m * sum(row[:p]) for row in q]
+    hh = -m * sum(qh[:p])
 
     def step(k: int, delta: int) -> None:
         nonlocal qh, hh
@@ -362,28 +394,41 @@ def walk_box(manifold: FourManifold, max_abs: int) -> Iterator[tuple[tuple[int, 
         qh = [v + delta * c for v, c in zip(qh, q[k])]
         head[k] += delta
 
-    q_last, w_last = q[last][last], w[last]
-    run = range(-m, m + 1)
     while True:
-        prefix = tuple(head)
-        g = gcd(*prefix)
-        a = 2 * qh[last]
-        head_characteristic = all((h - wi) % 2 == 0 for h, wi in zip(prefix, w))
-        for t in run:
-            yield (
-                prefix + (t,),
-                gcd(g, t),
-                hh + t * (a + t * q_last),
-                head_characteristic and (t - w_last) % 2 == 0,
+        plane = tuple(head)
+        g = gcd(*plane)
+        plane_characteristic = all((h - wi) % 2 == 0 for h, wi in zip(plane, w))
+        b, c = 2 * qh[p], qh[last]
+        for s in run:
+            yield plane + (s,), _row_keys(
+                gcd(g, s),
+                hh + s * (b + s * q_pp),
+                2 * (c + s * q_pl),
+                plane_characteristic and s & 1 == w_p,
+                run,
+                q_last,
+                w_last,
             )
-        k = last - 1
+        k = p - 1
         while k >= 0 and head[k] == m:
             k -= 1
         if k < 0:
             return
-        for j in range(k + 1, last):
+        for j in range(k + 1, p):
             step(j, -2 * m)
         step(k, 1)
+
+
+def walk_box(manifold: FourManifold, max_abs: int) -> Iterator[tuple[tuple[int, ...], int, int, bool]]:
+    """Yield (x, divisibility, x.x, characteristic) for every class in the box.
+
+    The classes come in lexicographic order: this expands each row of
+    ``walk_rows`` into its classes.
+    """
+    suffixes = [(t,) for t in range(-max_abs, max_abs + 1)] if manifold.b2 else [()]
+    for prefix, keys in walk_rows(manifold, max_abs):
+        for suffix, (d, xx, characteristic) in zip(suffixes, keys):
+            yield prefix + suffix, d, xx, characteristic
 
 
 def enumerate_representable(manifold: FourManifold, max_abs: int) -> list[SphereClassReport]:

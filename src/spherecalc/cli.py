@@ -2,8 +2,9 @@
 
 JSON output is the stable contract; the table format is for humans and
 may change.  ``enumerate`` streams its catalog: it writes the bytes of
-``CatalogFile.to_json_text`` chunk by chunk without keeping reports, so
-its memory stays flat however large the box.  Matrix and class literals
+``CatalogFile.to_json_text`` a row of the box at a time, in chunks,
+without keeping reports, so its memory stays flat however large the box
+and however long its rows.  Matrix and class literals
 are JSON arrays of integers; hermitian-form entries use a small
 polynomial grammar, integer-coefficient polynomials in ``T`` (cyclic
 rings) or ``t`` with ``t^-2``-style negative exponents (Laurent ring).
@@ -18,8 +19,11 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import islice
+from operator import add
 
 from . import __version__, classifier, hermitian, intlattice
 from .classifier import FourManifold, SphereClassReport
@@ -317,10 +321,19 @@ class CatalogFile:
             raise ParseError("a catalog must be a JSON object")
         if data.get("schema") != CATALOG_SCHEMA:
             raise ParseError(f"unsupported catalog schema {data.get('schema')!r}")
+        for key, kind, name in (
+            ("max_abs", int, "an integer"),
+            ("reports", list, "an array"),
+            ("tool_version", str, "a string"),
+            ("generated_at", str, "a string"),
+        ):
+            value = data.get(key)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ParseError(f"malformed catalog: {key!r} must be {name}, got {value!r}")
         try:
             return cls(
                 manifold=ManifoldSpec.from_json_dict(data["manifold"]),
-                max_abs=int(data["max_abs"]),
+                max_abs=data["max_abs"],
                 reports=tuple(classifier.report_from_json_dict(r) for r in data["reports"]),
                 tool_version=data["tool_version"],
                 generated_at=data["generated_at"],
@@ -345,8 +358,47 @@ def build_catalog(spec: ManifoldSpec, max_abs: int) -> CatalogFile:
     )
 
 
-#: Reports per write of a streamed catalog.
+#: Reports per write of a streamed catalog, and the most report bodies it
+#: keeps rendered.
 CHUNK_REPORTS = 4096
+
+
+class _ReportBodies(dict):
+    """Report text after the class, per (divisibility, x.x, characteristic) key.
+
+    A missing key is rendered on lookup, so the bodies of a row are one
+    ``map`` over its keys.  ``counts`` tallies the keys written since the
+    last ``fold``, which adds them to the summary totals through each key's
+    (representable, unique) flags and empties the cache.
+    """
+
+    def __init__(self, manifold: FourManifold):
+        super().__init__()
+        self.manifold = manifold
+        self.flags = {}
+        self.counts = Counter()
+        self.classes = self.representable = self.unique = 0
+
+    def __missing__(self, key) -> str:
+        report = classifier.report_from_invariants(self.manifold, (), *key)
+        data = report.to_json_dict()
+        del data["class"]
+        self.flags[key] = (
+            report.exists in (classifier.EXISTS_YES, classifier.EXISTS_BY_DEFINITION),
+            report.uniqueness == classifier.UNIQUE_ISOTOPY,
+        )
+        body = self[key] = "    " + json.dumps(data, indent=2)[2:].replace("\n", "\n    ")
+        return body
+
+    def fold(self) -> None:
+        for key, n in self.counts.items():
+            is_representable, is_unique = self.flags[key]
+            self.classes += n
+            self.representable += n * is_representable
+            self.unique += n * is_unique
+        self.counts.clear()
+        self.flags.clear()
+        self.clear()
 
 
 def write_catalog(
@@ -355,48 +407,55 @@ def write_catalog(
     """Stream the catalog of the box to ``fh``; return (classes, representable, unique).
 
     The bytes are those of ``CatalogFile.to_json_text`` for the same
-    ``generated_at``, but no report is kept.  A report's text after its
-    class depends only on (divisibility, x.x, characteristic), so it is
-    rendered once per such key, in a dict local to the call, together with
-    the two flags the summary counts.
+    ``generated_at``, but no report is kept.  The box is rendered a row of
+    ``classifier.walk_rows`` at a time, and each row is one ``join``: the
+    class text up to the last coordinate is built once per row, the text
+    from the last coordinate to the body once per call, and a report's
+    body, which depends only on its (divisibility, x.x, characteristic)
+    key, is one lookup in a cache local to the call.  The summary counts
+    come from per-key counts.  A row longer than ``CHUNK_REPORTS`` is
+    rendered in slices of at most that many classes, and the cache is
+    emptied before a slice could take it past that many bodies, so memory
+    stays flat however long the rows.
     """
     empty = CatalogFile(spec, max_abs, (), __version__, generated_at).to_json_text()
     head, tail = empty.rsplit('"reports": []', 1)
     fh.write(head + '"reports": [\n')
     if manifold.b2:
         class_open, class_sep, class_close = '    {\n      "class": [\n        ', ",\n        ", "\n      ],\n"
+        run = range(-max_abs, max_abs + 1)
     else:
         class_open, class_sep, class_close = '    {\n      "class": [', "", "],\n"
-    cache = {}
-    chunk = []
+        run = ("",)  # the one class of rank 0 has no last coordinate
+    starts = range(0, len(run), CHUNK_REPORTS)
+    tails_at = None
+    bodies = _ReportBodies(manifold)
+    texts = []
+    pending = 0
     lead = ""
-    classes = representable = unique = 0
-    for x, d, xx, characteristic in classifier.walk_box(manifold, max_abs):
-        key = (d, xx, characteristic)
-        entry = cache.get(key)
-        if entry is None:
-            report = classifier.report_from_invariants(manifold, x, d, xx, characteristic)
-            data = report.to_json_dict()
-            del data["class"]
-            body = json.dumps(data, indent=2)[2:].replace("\n", "\n    ")
-            entry = cache[key] = (
-                "    " + body,
-                report.exists in (classifier.EXISTS_YES, classifier.EXISTS_BY_DEFINITION),
-                report.uniqueness == classifier.UNIQUE_ISOTOPY,
-            )
-        body, is_representable, is_unique = entry
-        chunk.append(class_open + class_sep.join(map(str, x)) + class_close + body)
-        classes += 1
-        representable += is_representable
-        unique += is_unique
-        if len(chunk) == CHUNK_REPORTS:
-            fh.write(lead + ",\n".join(chunk))
-            lead = ",\n"
-            chunk.clear()
-    if chunk:
-        fh.write(lead + ",\n".join(chunk))
+    for prefix, keys in classifier.walk_rows(manifold, max_abs):
+        row_open = class_open + "".join([f"{v}{class_sep}" for v in prefix])
+        sep = ",\n" + row_open
+        for i in starts:
+            part = list(islice(keys, CHUNK_REPORTS))
+            if len(bodies) + len(part) > CHUNK_REPORTS:
+                bodies.fold()
+            if tails_at != i:
+                tails = [f"{t}{class_close}" for t in run[i : i + CHUNK_REPORTS]]
+                tails_at = i
+            bodies.counts.update(part)
+            texts.append(row_open + sep.join(map(add, tails, map(bodies.__getitem__, part))))
+            pending += len(part)
+            if pending >= CHUNK_REPORTS:
+                fh.write(lead + ",\n".join(texts))
+                lead = ",\n"
+                texts.clear()
+                pending = 0
+    if texts:
+        fh.write(lead + ",\n".join(texts))
     fh.write("\n  ]" + tail)
-    return classes, representable, unique
+    bodies.fold()
+    return bodies.classes, bodies.representable, bodies.unique
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from spherecalc.classifier import (
     report_from_json_dict,
     uniqueness_status,
     walk_box,
+    walk_rows,
 )
 from spherecalc.errors import (
     DimensionMismatch,
@@ -285,6 +286,31 @@ def test_walk_box_matches_the_direct_invariants_on_random_boxes():
             assert xx == intlattice.self_intersection(rows, x)
             assert characteristic == intlattice.is_characteristic(rows, x)
     assert list(walk_box(FourManifold(IntersectionForm(()), 0), 2)) == [((), 0, 0, True)]
+
+
+@pytest.mark.parametrize("max_abs", [0, 1, 2])
+def test_walk_rows_expand_to_the_direct_invariants_on_random_forms(max_abs):
+    rng = random.Random(37 + max_abs)
+    coords = range(-max_abs, max_abs + 1)
+    bases = [((1,),), ((-1,),), H_MATRIX, ((1, 2), (2, 3)), block_diag(H_MATRIX, ((1,),)), HH_ROWS]
+    for base in bases:
+        rows = oracles.conjugate_form(base, oracles.random_unimodular(rng, len(base)))
+        manifold = FourManifold(IntersectionForm(rows), rng.randint(0, 1))
+        # every row is read after the walk has ended: its keys are bound
+        walked = list(walk_rows(manifold, max_abs))
+        prefixes = [prefix for prefix, _ in walked]
+        assert prefixes == list(itertools.product(coords, repeat=len(rows) - 1))
+        expanded = [(prefix + (t,), *key) for prefix, keys in walked for t, key in zip(coords, keys)]
+        assert expanded == list(walk_box(manifold, max_abs))
+        assert [x for x, *_ in expanded] == list(itertools.product(coords, repeat=len(rows)))
+        for x, d, xx, characteristic in expanded:
+            assert d == intlattice.divisibility(x)
+            assert xx == intlattice.self_intersection(rows, x)
+            assert characteristic == intlattice.is_characteristic(rows, x)
+    [(prefix, keys)] = walk_rows(FourManifold(IntersectionForm(()), 0), max_abs)
+    assert (prefix, list(keys)) == ((), [(0, 0, True)])
+    with pytest.raises(ValueError):
+        next(walk_rows(CP2, -1))
 
 
 def test_characteristic_vector_spans_the_characteristic_coset():

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -217,10 +218,10 @@ def test_enumerate_negative_bound(capsys):
 
 
 def test_enumerate_out_in_a_missing_directory_is_input_error(tmp_path, capsys, monkeypatch):
-    def walk_box(*_):
+    def walk_rows(*_):
         raise AssertionError("no class may be walked before --out is open")
 
-    monkeypatch.setattr(cli.classifier, "walk_box", walk_box)
+    monkeypatch.setattr(cli.classifier, "walk_rows", walk_rows)
     out_path = tmp_path / "missing" / "x.json"
     code, out, err = run(
         capsys, "enumerate", "--manifold", "CP2", "--max-abs", "1", "--out", str(out_path)
@@ -345,11 +346,39 @@ def test_streamed_catalog_equals_the_in_memory_catalog(manifold, ks, max_abs):
 
 @pytest.mark.parametrize("chunk", [1, 2, 9, 10])
 def test_streamed_catalog_is_independent_of_the_chunk_size(monkeypatch, chunk):
+    # CP2 is one row of 9 classes, H#H at box 2 is 125 rows of 5, and rank
+    # 0 is one class: the chunk sizes cut rows into slices and end writes
+    # inside and between rows, and they empty the body cache at different
+    # points
     monkeypatch.setattr(cli, "CHUNK_REPORTS", chunk)
+    for manifold, max_abs in (("CP2", 4), ("H#H", 2), ("diag()", 1)):
+        spec = cli.parse_manifold_spec(manifold)
+        expected = in_memory_catalog(spec, max_abs)
+        out = io.StringIO()
+        counts = cli.write_catalog(out, spec, spec.manifold(), max_abs, STAMP)
+        assert out.getvalue() == expected.to_json_text()
+        assert counts == summary_counts(expected)
+
+
+def test_streamed_catalog_memory_is_flat_on_long_rows(monkeypatch):
+    # CP2 is one row, and each |t| has its own body.  With the write chunk
+    # and the body cache scaled down to 256 reports, a row ten times longer
+    # raises the peak by less than 256 KB; a cache that kept every body grew
+    # ~2.7 MB here.  At the real chunk size the peak at --max-abs 50000 is
+    # ~0.2 MB above that at 5000, but that pair takes ~40 s under tracemalloc.
+    monkeypatch.setattr(cli, "CHUNK_REPORTS", 256)
     spec = cli.parse_manifold_spec("CP2")
-    out = io.StringIO()
-    cli.write_catalog(out, spec, spec.manifold(), 4, STAMP)
-    assert out.getvalue() == in_memory_catalog(spec, 4).to_json_text()
+    manifold = spec.manifold()
+    peaks = []
+    for max_abs in (500, 5000):
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            tracemalloc.start()
+            try:
+                cli.write_catalog(sink, spec, manifold, max_abs, STAMP)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 256 * 1024, peaks
 
 
 @pytest.mark.parametrize("to_file", [True, False])
@@ -642,6 +671,12 @@ def test_catalog_rejects_malformed_json(text, message):
         ("reports", [7]),
         ("manifold", []),
         ("manifold", {"name": "CP2", "matrix": 1, "ks": 0}),
+        ("tool_version", 5),
+        ("generated_at", []),
+        ("max_abs", 1.5),
+        ("max_abs", True),
+        ("max_abs", "1"),
+        ("reports", {}),
     ],
 )
 def test_catalog_with_a_missing_or_mistyped_key_is_a_parse_error(key, value):
