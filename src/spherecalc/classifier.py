@@ -28,8 +28,8 @@ cost per class.  ``walk_box`` expands the rows into classes, and
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import astuple, dataclass
+from functools import cache, cached_property
 from math import gcd
 
 from . import hermitian, intlattice
@@ -140,22 +140,6 @@ class SphereClassReport:
             "uniqueness": self.uniqueness,
             "citations": list(self.citations),
         }
-
-
-def report_from_json_dict(data) -> SphereClassReport:
-    return SphereClassReport(
-        x=freeze_vector(data["class"]),
-        divisibility=int(data["divisibility"]),
-        characteristic=bool(data["characteristic"]),
-        lw_bound=None if data["lw_bound"] is None else int(data["lw_bound"]),
-        b2=int(data["b2"]),
-        sigma=int(data["sigma"]),
-        ks=int(data["ks"]),
-        exists=data["exists"],
-        reasons=tuple(data["reasons"]),
-        uniqueness=data["uniqueness"],
-        citations=tuple(data["citations"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +419,12 @@ def enumerate_representable(manifold: FourManifold, max_abs: int) -> list[Sphere
     """Classify every class with coordinates in [-max_abs, max_abs].
 
     Classes are visited and reported in lexicographic order, so the output
-    is deterministic.
+    is deterministic.  A report depends on its class only through
+    (divisibility, x.x, characteristic), so the other fields are computed
+    once per such key.
     """
-    return [report_from_invariants(manifold, *inv) for inv in walk_box(manifold, max_abs)]
+    fields = cache(lambda d, xx, c: astuple(report_from_invariants(manifold, (), d, xx, c))[1:])
+    return [SphereClassReport(x, *fields(d, xx, c)) for x, d, xx, c in walk_box(manifold, max_abs)]
 
 
 # ---------------------------------------------------------------------------

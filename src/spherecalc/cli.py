@@ -4,10 +4,12 @@ JSON output is the stable contract; the table format is for humans and
 may change.  ``enumerate`` streams its catalog: it writes the bytes of
 ``CatalogFile.to_json_text`` a row of the box at a time, in chunks,
 without keeping reports, so its memory stays flat however large the box
-and however long its rows.  Matrix and class literals
-are JSON arrays of integers; hermitian-form entries use a small
-polynomial grammar, integer-coefficient polynomials in ``T`` (cyclic
-rings) or ``t`` with ``t^-2``-style negative exponents (Laurent ring).
+and however long its rows; ``CatalogFile.from_json_text`` accepts only
+the catalog of the file's own header.  Matrix and class literals are JSON
+arrays of integers.  A hermitian-form literal is a JSON array of
+polynomial entries, bare or quoted, each read by ``parse_poly``: integer
+coefficients and powers of ``T`` (cyclic rings) or ``t``, with
+``t^-2``-style negative exponents (Laurent ring).
 ``SPHERECALC_BUDGET`` overrides the default node budget of the
 congruence search.
 """
@@ -15,6 +17,7 @@ congruence search.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -22,8 +25,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import islice
-from operator import add
+from itertools import chain, islice
+from operator import add, eq, itemgetter
 
 from . import __version__, classifier, hermitian, intlattice
 from .classifier import FourManifold, SphereClassReport
@@ -107,106 +110,62 @@ def _to_int(digits: str, position: int) -> int:
         raise ParseError("integer literal has too many digits", position=position) from exc
 
 
-_TERM_RE = re.compile(r"^([+-]?\d+|[+-]?)\*?([Tt])(?:\^(-?\d+))?$")
+#: One signed term of a polynomial: a coefficient, a power of T (or t), or
+#: both, with whitespace allowed between the parts; a ``*`` may join a
+#: coefficient to its power.
+_TERM_RE = re.compile(
+    r"\s*([+-])?\s*(?:(\d+)\s*(?:\*\s*(?=[Tt]))?)?([Tt](?:\s*\^\s*(-?\d+))?)?\s*"
+)
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
-def _split_terms(text: str):
-    """Split a polynomial into signed terms, keeping exponent minus signs."""
-    terms = []
-    cur = ""
-    offset = 0
-    for idx, ch in enumerate(text):
-        if ch in "+-" and cur.strip() and not cur.rstrip().endswith("^"):
-            terms.append((cur, offset))
-            cur, offset = ch, idx
-        else:
-            cur += ch
-    terms.append((cur, offset))
-    return terms
-
-
 def parse_poly(text: str, ring: Ring, base: int = 0):
-    """Parse one polynomial entry ("3 + 2T", "1 - t^-2", "7") over the ring."""
-    if not text.strip():
-        raise ParseError("empty polynomial entry", position=base)
-    result = ring.zero()
-    for raw, offset in _split_terms(text):
-        term = raw.replace(" ", "")
-        if not term or term in "+-":
-            raise ParseError(f"dangling sign in {text!r}", position=base + offset)
-        if _INT_RE.match(term):
-            result = result + ring.from_int(_to_int(term, base + offset))
-            continue
-        m = _TERM_RE.match(term)
-        if m is None:
-            raise ParseError(f"cannot parse term {raw.strip()!r}", position=base + offset)
-        coeff_text, _, exp_text = m.groups()
-        if coeff_text in ("", "+", "-"):
-            coeff = -1 if coeff_text == "-" else 1
-        else:
-            coeff = _to_int(coeff_text, base + offset)
-        exponent = _to_int(exp_text, base + offset) if exp_text is not None else 1
-        result = result + ring.monomial(exponent, coeff)
-    return result
+    """Parse one polynomial entry ("3 + 2T", "1 - t^-2", "2 * t^3", "7") over the ring.
 
-
-def _split_matrix_entries(text: str):
-    """Parse ``[[e, e], [e, e]]`` into raw entry strings with offsets.
-
-    Entries may be bare integers, polynomial expressions, or (for JSON
-    compatibility) quoted strings; brackets never nest deeper than two.
+    The entry is a run of terms, one ``_TERM_RE`` match each, and every
+    term after the first needs a sign, so two numbers may not be adjacent.
+    ``base`` is the entry's position in the text the user gave.
     """
-    s = text.strip()
-    if not s.startswith("["):
-        raise ParseError("matrix literal must start with '['", position=0)
-    rows = []
-    row = None
-    cur = ""
-    start = 0
-    depth = 0
-    for idx, ch in enumerate(s):
-        if ch == "[":
-            depth += 1
-            if depth == 2:
-                row = []
-                cur, start = "", idx + 1
-            elif depth > 2:
-                raise ParseError("matrix literal nests too deeply", position=idx)
-        elif ch == "]":
-            if depth == 2:
-                if cur.strip() or row:
-                    row.append((cur, start))
-                rows.append(row)
-                row = None
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced ']'", position=idx)
-        elif ch == "," and depth == 2:
-            row.append((cur, start))
-            cur, start = "", idx + 1
-        elif depth == 2:
-            cur += ch
-        elif depth <= 1 and ch not in ", \t\n":
-            raise ParseError(f"unexpected character {ch!r}", position=idx)
-    if depth != 0:
-        raise ParseError("unbalanced '['", position=len(s))
-    return rows
+    result, pos = ring.zero(), 0
+    while True:
+        m = _TERM_RE.match(text, pos)
+        sign, coeff, power, exponent = m.groups()
+        if not (coeff or power) or (pos and not sign):
+            rest = text[pos:].strip()
+            reason = f"cannot parse term {rest!r} in {text!r}" if rest else "empty polynomial entry"
+            raise ParseError(reason, position=base + pos)
+        c = _to_int(coeff, base + m.start(2)) if coeff else 1
+        if sign == "-":
+            c = -c
+        if power:
+            k = _to_int(exponent, base + m.start(4)) if exponent else 1
+            result = result + ring.monomial(k, c)
+        else:
+            result = result + ring.from_int(c)
+        pos = m.end()
+        if pos == len(text):
+            return result
+
+
+#: One entry of a ring-matrix literal: quoted, or a bare run up to a
+#: bracket, comma or quote that neither starts nor ends with whitespace.
+_ENTRY_RE = re.compile(r""""([^"]*)"|'([^']*)'|([^\s\[\],"'](?:[^\[\],"']*[^\s\[\],"'])?)""")
 
 
 def parse_form_matrix(text: str, ring: Ring) -> hermitian.HermitianForm:
-    rows = []
-    for raw_row in _split_matrix_entries(text):
-        row = []
-        for raw, offset in raw_row:
-            entry = raw.strip()
-            if len(entry) >= 2 and entry[0] == entry[-1] and entry[0] in "'\"":
-                entry = entry[1:-1]
-            row.append(parse_poly(entry, ring, base=offset))
-        rows.append(tuple(row))
-    if any(len(row) != len(rows) for row in rows):
-        raise ParseError("form matrix literal must be square")
-    return hermitian.HermitianForm(ring, tuple(rows))
+    """Read a square matrix literal whose entries are polynomials, bare or quoted.
+
+    Each entry is masked by a ``0`` padded to its length, so the JSON
+    decoder checks the brackets, commas and nesting, and its error
+    positions are positions in ``text``.  Each entry is then read by
+    ``parse_poly``.
+    """
+    entries = list(_ENTRY_RE.finditer(text))
+    data = _load_json(_ENTRY_RE.sub(lambda m: "0".ljust(len(m[0])), text), "form matrix")
+    if not isinstance(data, list) or data != [[0] * len(data)] * len(data):
+        raise ParseError("form matrix literal must be a square array of arrays")
+    values = iter([parse_poly(m[m.lastindex], ring, m.start(m.lastindex)) for m in entries])
+    return hermitian.HermitianForm(ring, tuple(tuple(islice(values, len(data))) for _ in data))
 
 
 def parse_ring(text: str) -> Ring:
@@ -271,7 +230,7 @@ class ManifoldSpec:
     @classmethod
     def from_json_dict(cls, data) -> "ManifoldSpec":
         return cls(
-            name=data["name"], matrix=freeze_matrix(data["matrix"]), ks=int(data["ks"])
+            name=str(data["name"]), matrix=freeze_matrix(data["matrix"]), ks=int(data["ks"])
         )
 
 
@@ -316,30 +275,85 @@ class CatalogFile:
 
     @classmethod
     def from_json_text(cls, text: str) -> "CatalogFile":
+        """Read a catalog, accepting it only if it is the catalog of its own header.
+
+        A catalog is a function of its manifold, ``max_abs``, tool version
+        and timestamp.  After a check that costs O(len(text)) -- ``max_abs``
+        is an integer in [0, len(reports)] and there are (2 max_abs + 1)^b2
+        reports -- ``classifier.enumerate_representable`` rebuilds the
+        reports.  The document must hold the rebuilt catalog's values, with
+        their types: the header those of an empty-report catalog's
+        ``to_json_dict()``, each report those of its own.  Only whitespace
+        and key order may differ.  The reports returned are computed, never
+        decoded, so no value of the file reaches the program.
+        """
+        # The decoded document and the rebuilt reports are millions of
+        # containers without cycles, and the cyclic collector would traverse
+        # them again and again as they grow: a third of the read time.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._read(text)
+        finally:
+            if collecting:
+                gc.enable()
+
+    @classmethod
+    def _read(cls, text: str) -> "CatalogFile":
         data = _load_json(text, "catalog")
         if not isinstance(data, dict):
             raise ParseError("a catalog must be a JSON object")
         if data.get("schema") != CATALOG_SCHEMA:
             raise ParseError(f"unsupported catalog schema {data.get('schema')!r}")
-        for key, kind, name in (
-            ("max_abs", int, "an integer"),
-            ("reports", list, "an array"),
-            ("tool_version", str, "a string"),
-            ("generated_at", str, "a string"),
-        ):
-            value = data.get(key)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ParseError(f"malformed catalog: {key!r} must be {name}, got {value!r}")
         try:
-            return cls(
-                manifold=ManifoldSpec.from_json_dict(data["manifold"]),
-                max_abs=data["max_abs"],
-                reports=tuple(classifier.report_from_json_dict(r) for r in data["reports"]),
-                tool_version=data["tool_version"],
-                generated_at=data["generated_at"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            spec = ManifoldSpec.from_json_dict(data["manifold"])
+            max_abs, reports = data["max_abs"], data["reports"]
+            # each value is coerced to its type, so a mistyped one fails the comparison
+            header = cls(spec, max_abs, (), str(data["tool_version"]), str(data["generated_at"]))
+        except (KeyError, TypeError, ValueError, OverflowError, SpherecalcError) as exc:
             raise ParseError(f"malformed catalog: {exc!r}") from exc
+        if not isinstance(reports, list):
+            raise ParseError(f"malformed catalog: 'reports' must be an array, got {reports!r}")
+        if type(max_abs) is not int or not 0 <= max_abs <= len(reports):
+            raise ParseError(
+                f"malformed catalog: 'max_abs' must be an integer in [0, {len(reports)}], "
+                f"the number of reports, got {max_abs!r}"
+            )
+        b2 = len(spec.matrix)
+        if len(reports) != (2 * max_abs + 1) ** b2:
+            raise ParseError(
+                f"malformed catalog: the box of max_abs {max_abs} in rank {b2} holds "
+                f"{(2 * max_abs + 1) ** b2} classes, but 'reports' has length {len(reports)}"
+            )
+        # JSON text, unlike ==, tells true from 1 and 1.0 from 1
+        if json.dumps({**data, "reports": []}, sort_keys=True) != json.dumps(
+            header.to_json_dict(), sort_keys=True
+        ):
+            raise ParseError("malformed catalog: a mistyped value or an unknown key in the header")
+        try:
+            manifold = spec.manifold()
+        except ValueError as exc:
+            raise ParseError(f"malformed catalog: {exc}") from exc
+        rebuilt = classifier.enumerate_representable(manifold, max_abs)
+        expected = map(SphereClassReport.to_json_dict, rebuilt)
+        if not all(map(eq, reports, expected)) or not _numbers_typed(reports):
+            raise ParseError("malformed catalog: the reports are not those of its header")
+        return cls(spec, max_abs, tuple(rebuilt), header.tool_version, header.generated_at)
+
+
+_REPORT_INTS = itemgetter("divisibility", "lw_bound", "b2", "sigma", "ks")
+
+
+def _numbers_typed(reports: list) -> bool:
+    """Whether each report's flag is a bool and its other numbers are ints.
+
+    ``==`` takes true for 1 and 1.0 for 1, so reports that ``==`` matched
+    can still be mistyped.
+    """
+    flags = map(itemgetter("characteristic"), reports)
+    classes = chain.from_iterable(map(itemgetter("class"), reports))
+    numbers = chain(classes, chain.from_iterable(map(_REPORT_INTS, reports)))
+    return {*map(type, flags)} <= {bool} and {*map(type, numbers)} <= {int, type(None)}
 
 
 def _now() -> str:

@@ -326,11 +326,6 @@ def extend_integer_form(q, ring: Ring) -> HermitianForm:
     return HermitianForm(ring, tuple(tuple(ring.from_int(v) for v in row) for row in rows))
 
 
-def augmented_isometry(p) -> Matrix:
-    """Entrywise augmentation of a matrix over the ring; tests F(1) = id."""
-    return tuple(tuple(v.augment() for v in row) for row in p)
-
-
 # ---------------------------------------------------------------------------
 # congruence search
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib
 import io
 import itertools
@@ -8,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from spherecalc import __version__, classifier, cli
 from spherecalc.classifier import DETERMINED_BY_FORM, EXISTS_BY_DEFINITION
 from spherecalc.errors import ParseError
 from spherecalc.groupring import CyclicRing, GroupRingElem, LaurentElem, LaurentRing
+from spherecalc.hermitian import HermitianForm
 from spherecalc.intlattice import E8_MATRIX, H_MATRIX, block_diag
 
 
@@ -46,6 +49,10 @@ def test_parse_poly_laurent():
     assert cli.parse_poly("1 - t^-2", lr) == LaurentElem(((0, 1), (-2, -1)))
     assert cli.parse_poly("t + t^-1", lr) == LaurentElem(((1, 1), (-1, 1)))
     assert cli.parse_poly("2*t^3", lr) == LaurentRing().monomial(3, 2)
+    # whitespace may separate the parts of a term
+    assert cli.parse_poly("2 T + 2 T^3", lr) == lr.monomial(1, 2) + lr.monomial(3, 2)
+    assert cli.parse_poly("t ^ 2", lr) == lr.monomial(2)
+    assert cli.parse_poly(" - 2 * t ^ -1 + 3 ", lr) == lr.from_int(3) - lr.monomial(-1, 2)
 
 
 def test_parse_poly_errors_carry_positions():
@@ -68,6 +75,59 @@ def test_parse_form_matrix():
         cli.parse_form_matrix("[[1], [1, 2]]", lr)
     with pytest.raises(ParseError):
         cli.parse_form_matrix("[[1, 2]", lr)
+
+
+@pytest.mark.parametrize("text", ["1 2", "*t + *t^-1", "1 0 t", "2*", "t 2", "1 + + t", "1 +"])
+def test_adjacent_numbers_and_unsigned_terms_are_parse_errors(text):
+    with pytest.raises(ParseError, match="cannot parse term") as exc:
+        cli.parse_poly(text, LaurentRing())
+    assert exc.value.position is not None
+
+
+def test_form_matrix_error_positions_point_into_the_text():
+    lr = LaurentRing()
+    with pytest.raises(ParseError) as exc:
+        cli.parse_form_matrix("[[1, 0], [0, 1 2]]", lr)
+    assert exc.value.position == 15  # the '2'
+    with pytest.raises(ParseError) as exc:
+        cli.parse_form_matrix('[["t", 0] [0, "t^-1"]]', lr)
+    assert exc.value.position == 10  # the missing comma
+    with pytest.raises(ParseError, match="square array of arrays"):
+        cli.parse_form_matrix("[[[1]]]", lr)
+
+
+def _ring_elements(ring):
+    """Random elements of ``ring``: sums of a few monomials."""
+    exponents = st.integers(0, ring.d - 1) if isinstance(ring, CyclicRing) else st.integers(-6, 6)
+    terms = st.lists(st.tuples(exponents, st.integers(-12, 12)), max_size=4)
+    return terms.map(lambda ts: sum((ring.monomial(k, c) for k, c in ts), ring.zero()))
+
+
+_ROUND_TRIP_RINGS = st.one_of(st.integers(1, 7).map(CyclicRing), st.just(LaurentRing()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ROUND_TRIP_RINGS.flatmap(lambda r: st.tuples(st.just(r), _ring_elements(r))))
+def test_parse_poly_reads_back_what_the_element_prints(case):
+    ring, element = case
+    assert cli.parse_poly(str(element), ring) == element
+
+
+@st.composite
+def _hermitian_2x2(draw):
+    ring = draw(_ROUND_TRIP_RINGS)
+    a, b, c = (draw(_ring_elements(ring)) for _ in range(3))
+    matrix = ((a + a.conjugate(), b), (b.conjugate(), c + c.conjugate()))
+    return HermitianForm(ring, matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hermitian_2x2())
+def test_parse_form_matrix_reads_back_the_display(form):
+    display = form.display()
+    bare = "[" + ", ".join("[" + ", ".join(row) + "]" for row in display) + "]"
+    assert cli.parse_form_matrix(bare, form.ring) == form
+    assert cli.parse_form_matrix(json.dumps(display), form.ring) == form
 
 
 def test_parse_ring():
@@ -555,17 +615,22 @@ _ID2 = "[[1,0],[0,1]]"
         (["build-equivariant", "--q", _SWAP, "--t", _SWAP, "--basis", "[1,0]"], 2, "basis"),
         (["build-equivariant", "--q", _ID2, "--t", _SWAP, "--basis", "[[2,0]]"], 1, "index 4"),
         (["build-equivariant", "--q", _ID2, "--t", _SWAP, "--basis", "[[2,1]]"], 1, "index 3"),
+        (["augment", "--ring", "Z4", "--a", "[[1 2, 0],[0, 1]]"], 2, "cannot parse term '2'"),
+        (["augment", "--ring", "Z4", "--a", "[[*t + *t^-1]]"], 2, "cannot parse term"),
+        (["augment", "--ring", "Z4", "--a", "[[1 0 t]]"], 2, "cannot parse term '0 t'"),
     ],
     ids=[
         "congruent-a", "congruent-b", "nonsingular", "augment", "extend",
         "equivariant-q", "equivariant-t", "basis-json", "basis-entry", "basis-flat",
         "basis-index-4", "basis-index-3",
+        "adjacent-numbers", "star-without-coefficient", "three-numbers",
     ],
 )
 def test_form_input_errors_exit_without_traceback(capsys, argv, code, reason):
-    exit_code, _, err = run(capsys, "form", *argv)
+    exit_code, out, err = run(capsys, "form", *argv)
     assert exit_code == code
-    assert err.startswith("error:")
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
     assert reason in err
 
 
@@ -677,6 +742,9 @@ def test_catalog_rejects_malformed_json(text, message):
         ("max_abs", True),
         ("max_abs", "1"),
         ("reports", {}),
+        ("max_abs", -3),
+        ("max_abs", 7),
+        ("comment", "hand-made"),
     ],
 )
 def test_catalog_with_a_missing_or_mistyped_key_is_a_parse_error(key, value):
@@ -688,6 +756,78 @@ def test_catalog_with_a_missing_or_mistyped_key_is_a_parse_error(key, value):
         data[key] = value
     with pytest.raises(ParseError, match="malformed catalog"):
         cli.CatalogFile.from_json_text(json.dumps(data))
+
+
+def _set(key, value, report):
+    """Tamper with a catalog: set ``key`` of one report."""
+    return lambda data: data["reports"][report].update({key: value})
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _set("characteristic", "no", report=0),
+        _set("b2", 1.7, report=0),
+        _set("b2", 1.0, report=0),
+        _set("class", [True], report=2),
+        _set("characteristic", 1, report=0),
+        _set("exists", "No", report=0),
+        _set("ks", False, report=1),
+        lambda data: data["manifold"].update(matrix=[[True]]),
+        lambda data: data["manifold"].update(ks=float("inf")),
+        lambda data: data.update(reports=data["reports"][:1]),
+        lambda data: data["reports"].reverse(),
+    ],
+    ids=[
+        "characteristic-no", "b2-1.7", "b2-1.0", "class-true", "characteristic-1",
+        "exists-flipped", "ks-false", "matrix-true", "ks-infinite", "one-report", "reversed",
+    ],
+)
+def test_tampered_catalog_is_a_parse_error(tamper):
+    data = in_memory_catalog(cli.parse_manifold_spec("CP2"), 1).to_json_dict()
+    assert data["reports"][0]["exists"] == "Yes"
+    tamper(data)
+    with pytest.raises(ParseError, match="malformed catalog"):
+        cli.CatalogFile.from_json_text(json.dumps(data, indent=2))
+
+
+def test_short_catalog_claiming_a_huge_box_fails_without_enumerating(monkeypatch):
+    def enumerate_representable(*args):
+        raise AssertionError("the box was enumerated")
+
+    monkeypatch.setattr(classifier, "enumerate_representable", enumerate_representable)
+    data = in_memory_catalog(cli.parse_manifold_spec("CP2"), 1).to_json_dict()
+    data["manifold"] = cli.parse_manifold_spec("E8").to_json_dict()
+    data["max_abs"] = 1000
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="malformed catalog: 'max_abs'"):
+        cli.CatalogFile.from_json_text(json.dumps(data))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_reading_a_catalog_leaves_the_collector_as_it_was():
+    text = in_memory_catalog(cli.parse_manifold_spec("H"), 1).to_json_text()
+    assert gc.isenabled()
+    cli.CatalogFile.from_json_text(text)
+    assert gc.isenabled()
+    with pytest.raises(ParseError):
+        cli.CatalogFile.from_json_text(text.replace('"b2": 2', '"b2": 3', 1))
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        cli.CatalogFile.from_json_text(text)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_catalog_reads_back_in_any_whitespace_layout():
+    catalog = in_memory_catalog(cli.parse_manifold_spec("H"), 1)
+    data = catalog.to_json_dict()
+    for text in (json.dumps(data), json.dumps(data, indent="\t", separators=(" , ", " : "))):
+        read = cli.CatalogFile.from_json_text(text)
+        assert read == catalog
+        assert read.to_json_text() == catalog.to_json_text()
 
 
 def test_parser_fuzz_raises_only_parse_errors():

@@ -18,7 +18,6 @@ from spherecalc.hermitian import (
     HermitianForm,
     PointedHermitianForm,
     augment_form,
-    augmented_isometry,
     build_equivariant_form,
     congruence_search,
     conj_transpose,
@@ -751,7 +750,7 @@ def test_pointed_witness_with_identity_augmentation():
     p1 = PointedHermitianForm(FORM_T, (Z2.monomial(1),))
     out = pointed_congruence_search(p0, p1)
     assert out.status == hermitian.SEARCH_FOUND
-    assert augmented_isometry(out.witness) == ((1,),)
+    assert [[v.augment() for v in row] for row in out.witness] == [[1]]
 
 
 def test_pointed_nonunit_class_is_honestly_not_found():
@@ -775,17 +774,6 @@ def test_pointed_constraint_filters_witnesses():
     )
     assert out.status == hermitian.SEARCH_FOUND
     assert hermitian.ring_mat_vec(out.witness, e1, Z2) == e2
-
-
-# ---------------------------------------------------------------------------
-# augmented isometry
-
-
-def test_augmented_isometry_examples():
-    assert augmented_isometry(ring_identity(Z2, 2)) == ((1, 0), (0, 1))
-    assert augmented_isometry(((Z2.monomial(1),),)) == ((1,),)
-    p = ((L.monomial(1), L.zero()), (L.zero(), L.one()))
-    assert augmented_isometry(p) == ((1, 0), (0, 1))
 
 
 # ---------------------------------------------------------------------------
