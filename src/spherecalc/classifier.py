@@ -21,8 +21,8 @@ characteristic.  One private function, ``_verdict``, holds all the rules;
 class and read their answer off it.  ``walk_rows`` walks a coordinate box
 a row at a time with one odometer: a row is the run of the last
 coordinate, and it comes with the lazy invariants of its classes at O(1)
-cost per class.  ``walk_box`` expands the rows into classes, and
-``enumerate_representable`` builds its reports from that.
+cost per class.  ``enumerate_representable`` expands the rows into
+classes and builds their reports.
 """
 
 from __future__ import annotations
@@ -403,18 +403,6 @@ def walk_rows(
         step(k, 1)
 
 
-def walk_box(manifold: FourManifold, max_abs: int) -> Iterator[tuple[tuple[int, ...], int, int, bool]]:
-    """Yield (x, divisibility, x.x, characteristic) for every class in the box.
-
-    The classes come in lexicographic order: this expands each row of
-    ``walk_rows`` into its classes.
-    """
-    suffixes = [(t,) for t in range(-max_abs, max_abs + 1)] if manifold.b2 else [()]
-    for prefix, keys in walk_rows(manifold, max_abs):
-        for suffix, (d, xx, characteristic) in zip(suffixes, keys):
-            yield prefix + suffix, d, xx, characteristic
-
-
 def enumerate_representable(manifold: FourManifold, max_abs: int) -> list[SphereClassReport]:
     """Classify every class with coordinates in [-max_abs, max_abs].
 
@@ -424,7 +412,12 @@ def enumerate_representable(manifold: FourManifold, max_abs: int) -> list[Sphere
     once per such key.
     """
     fields = cache(lambda d, xx, c: astuple(report_from_invariants(manifold, (), d, xx, c))[1:])
-    return [SphereClassReport(x, *fields(d, xx, c)) for x, d, xx, c in walk_box(manifold, max_abs)]
+    suffixes = [(t,) for t in range(-max_abs, max_abs + 1)] if manifold.b2 else [()]
+    return [
+        SphereClassReport(prefix + suffix, *fields(d, xx, c))
+        for prefix, keys in walk_rows(manifold, max_abs)
+        for suffix, (d, xx, c) in zip(suffixes, keys)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ the catalog of the file's own header.  Matrix and class literals are JSON
 arrays of integers.  A hermitian-form literal is a JSON array of
 polynomial entries, bare or quoted, each read by ``parse_poly``: integer
 coefficients and powers of ``T`` (cyclic rings) or ``t``, with
-``t^-2``-style negative exponents (Laurent ring).
-``SPHERECALC_BUDGET`` overrides the default node budget of the
-congruence search.
+``t^-2``-style negative exponents (Laurent ring).  ``form congruent``'s
+``--budget`` bounds the nodes of the congruence search and defaults to
+``hermitian.DEFAULT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -36,30 +36,11 @@ from .intlattice import E8_MATRIX, H_MATRIX, Matrix, block_diag, freeze_matrix
 
 CATALOG_SCHEMA = "spherecalc.catalog/1"
 
-BUDGET_ENV_VAR = "SPHERECALC_BUDGET"
-
 _BUILTIN_MATRICES = {
     "CP2": ((1,),),
     "H": H_MATRIX,
     "E8": E8_MATRIX,
 }
-
-
-def resolve_budget(cli_value: int | None) -> int:
-    if cli_value is not None:
-        if cli_value < 0:
-            raise ParseError("--budget must be nonnegative")
-        return cli_value
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is None:
-        return hermitian.DEFAULT_BUDGET
-    try:
-        budget = int(env)
-    except ValueError as exc:
-        raise ParseError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from exc
-    if budget < 0:
-        raise ParseError(f"{BUDGET_ENV_VAR} must be nonnegative, got {env!r}")
-    return budget
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +234,6 @@ class CatalogFile:
     reports: tuple[SphereClassReport, ...]
     tool_version: str
     generated_at: str
-    schema: str = CATALOG_SCHEMA
 
     def __post_init__(self):
         classes = [r.x for r in self.reports]
@@ -262,7 +242,7 @@ class CatalogFile:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": CATALOG_SCHEMA,
             "tool_version": self.tool_version,
             "generated_at": self.generated_at,
             "manifold": self.manifold.to_json_dict(),
@@ -279,8 +259,9 @@ class CatalogFile:
 
         A catalog is a function of its manifold, ``max_abs``, tool version
         and timestamp.  After a check that costs O(len(text)) -- ``max_abs``
-        is an integer in [0, len(reports)] and there are (2 max_abs + 1)^b2
-        reports -- ``classifier.enumerate_representable`` rebuilds the
+        is a nonnegative integer, at most len(reports) when b2 >= 1, and
+        there are (2 max_abs + 1)^b2 reports --
+        ``classifier.enumerate_representable`` rebuilds the
         reports.  The document must hold the rebuilt catalog's values, with
         their types: the header those of an empty-report catalog's
         ``to_json_dict()``, each report those of its own.  Only whitespace
@@ -314,12 +295,13 @@ class CatalogFile:
             raise ParseError(f"malformed catalog: {exc!r}") from exc
         if not isinstance(reports, list):
             raise ParseError(f"malformed catalog: 'reports' must be an array, got {reports!r}")
-        if type(max_abs) is not int or not 0 <= max_abs <= len(reports):
-            raise ParseError(
-                f"malformed catalog: 'max_abs' must be an integer in [0, {len(reports)}], "
-                f"the number of reports, got {max_abs!r}"
-            )
         b2 = len(spec.matrix)
+        # a box of rank >= 1 holds more classes than max_abs; rank 0 holds one
+        if type(max_abs) is not int or max_abs < 0 or (b2 and max_abs > len(reports)):
+            raise ParseError(
+                f"malformed catalog: 'max_abs' must be a nonnegative integer, in rank >= 1 "
+                f"at most {len(reports)}, the number of reports; got {max_abs!r}"
+            )
         if len(reports) != (2 * max_abs + 1) ** b2:
             raise ParseError(
                 f"malformed catalog: the box of max_abs {max_abs} in rank {b2} holds "
@@ -559,8 +541,9 @@ def cmd_form(args) -> int:
     if args.form_command == "congruent":
         form_a = parse_form_matrix(args.a, ring)
         form_b = parse_form_matrix(args.b, ring)
-        budget = resolve_budget(args.budget)
-        outcome = hermitian.congruence_search(form_a, form_b, budget)
+        if args.budget < 0:
+            raise ParseError("--budget must be nonnegative")
+        outcome = hermitian.congruence_search(form_a, form_b, args.budget)
         payload = {"status": outcome.status, "reason": outcome.reason}
         if outcome.witness is not None:
             payload["witness"] = [[str(v) for v in row] for row in outcome.witness]
@@ -612,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cong.add_argument("--ring", required=True)
     p_cong.add_argument("--a", required=True)
     p_cong.add_argument("--b", required=True)
-    p_cong.add_argument("--budget", type=int, default=None)
+    p_cong.add_argument("--budget", type=int, default=hermitian.DEFAULT_BUDGET)
     p_cong.set_defaults(func=cmd_form)
 
     p_build = form_sub.add_parser(

@@ -117,7 +117,7 @@ class CyclicRing(_RingDescriptor):
     pack = attrgetter("coeffs")
 
     def unpack(self, x) -> GroupRingElem:
-        """The element with payload ``x``; its JSON coefficient list is accepted too."""
+        """The element with payload ``x``."""
         return GroupRingElem(self.d, x)
 
     @staticmethod
@@ -196,7 +196,7 @@ class LaurentRing(_RingDescriptor):
 
     @staticmethod
     def unpack(x) -> LaurentElem:
-        """The element with payload ``x``; its JSON pair list is accepted too."""
+        """The element with payload ``x``."""
         return LaurentElem(x)
 
     @staticmethod
@@ -269,14 +269,6 @@ def _cyclic_ring(d: int) -> CyclicRing:
     elements whose descriptors differ as objects still compare equal.
     """
     return CyclicRing(d)
-
-
-def ring_from_json(data) -> Ring:
-    if data.get("kind") == "cyclic":
-        return CyclicRing(int(data["d"]))
-    if data.get("kind") == "laurent":
-        return LaurentRing()
-    raise ValueError(f"unknown ring tag: {data!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +373,16 @@ class GroupRingElem(_RingElement):
         )
 
     def is_unit(self) -> bool:
-        """True iff the element is invertible; decided by the circulant determinant."""
+        """True iff the element is invertible.
+
+        T -> 1 is a ring map to Z, so a unit augments to +-1, and then a
+        single nonzero coefficient makes the element +-T^k, a unit.  Any
+        other element is decided by the circulant determinant, O(d^3).
+        """
+        if self.augment() not in (1, -1):
+            return False
+        if self.coeffs.count(0) == self.d - 1:
+            return True
         return integer_det(self.multiplication_matrix()) in (1, -1)
 
 

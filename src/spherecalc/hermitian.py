@@ -51,7 +51,6 @@ from .groupring import (
     CyclicRing,
     GroupRingElem,
     Ring,
-    ring_from_json,
 )
 from .intlattice import Matrix, freeze_matrix, integer_det, mat_vec
 
@@ -186,11 +185,6 @@ class HermitianForm:
             "size": self.size,
             "entries": [[to_json(v) for v in row] for row in self.matrix],
         }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "HermitianForm":
-        ring = ring_from_json(data["ring"])
-        return cls(ring, tuple(tuple(map(ring.unpack, row)) for row in data["entries"]))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from spherecalc.classifier import (
     lw_bound,
     realizable_forms_check,
     uniqueness_status,
-    walk_box,
     walk_rows,
 )
 from spherecalc.errors import (
@@ -268,30 +267,12 @@ def test_enumerate_two_hyperbolics_matches_predicate_small_box():
             assert report.uniqueness == UNIQUE_ISOTOPY  # strict inequality holds here
 
 
-def test_walk_box_matches_the_direct_invariants_on_random_boxes():
-    rng = random.Random(23)
-    bases = [((1,),), H_MATRIX, HH_ROWS, ((1, 2), (2, 3)), block_diag(H_MATRIX, ((1,),), ((-1,),))]
-    for _ in range(40):
-        base = bases[rng.randrange(len(bases))]
-        rows = oracles.conjugate_form(base, oracles.random_unimodular(rng, len(base)))
-        manifold = FourManifold(IntersectionForm(rows), rng.randint(0, 1))
-        max_abs = rng.randint(0, 3 if len(rows) <= 3 else 2)
-        coords = range(-max_abs, max_abs + 1)
-        walked = list(walk_box(manifold, max_abs))
-        assert [x for x, *_ in walked] == list(itertools.product(coords, repeat=len(rows)))
-        for x, d, xx, characteristic in walked:
-            assert d == intlattice.divisibility(x)
-            assert xx == intlattice.self_intersection(rows, x)
-            assert characteristic == intlattice.is_characteristic(rows, x)
-    assert list(walk_box(FourManifold(IntersectionForm(()), 0), 2)) == [((), 0, 0, True)]
-
-
-@pytest.mark.parametrize("max_abs", [0, 1, 2])
+@pytest.mark.parametrize("max_abs", [0, 1, 2, 3])
 def test_walk_rows_expand_to_the_direct_invariants_on_random_forms(max_abs):
     rng = random.Random(37 + max_abs)
     coords = range(-max_abs, max_abs + 1)
     bases = [((1,),), ((-1,),), H_MATRIX, ((1, 2), (2, 3)), block_diag(H_MATRIX, ((1,),)), HH_ROWS]
-    for base in bases:
+    for base in bases if max_abs < 3 else [b for b in bases if len(b) <= 3]:
         rows = oracles.conjugate_form(base, oracles.random_unimodular(rng, len(base)))
         manifold = FourManifold(IntersectionForm(rows), rng.randint(0, 1))
         # every row is read after the walk has ended: its keys are bound
@@ -299,7 +280,6 @@ def test_walk_rows_expand_to_the_direct_invariants_on_random_forms(max_abs):
         prefixes = [prefix for prefix, _ in walked]
         assert prefixes == list(itertools.product(coords, repeat=len(rows) - 1))
         expanded = [(prefix + (t,), *key) for prefix, keys in walked for t, key in zip(coords, keys)]
-        assert expanded == list(walk_box(manifold, max_abs))
         assert [x for x, *_ in expanded] == list(itertools.product(coords, repeat=len(rows)))
         for x, d, xx, characteristic in expanded:
             assert d == intlattice.divisibility(x)

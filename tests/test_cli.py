@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spherecalc import __version__, classifier, cli
+from spherecalc import __version__, classifier, cli, groupring, hermitian
 from spherecalc.classifier import DETERMINED_BY_FORM, EXISTS_BY_DEFINITION
 from spherecalc.errors import ParseError
 from spherecalc.groupring import CyclicRing, GroupRingElem, LaurentElem, LaurentRing
@@ -516,15 +516,11 @@ def test_form_congruent_budget_exhaustion_exits_zero(capsys):
     assert "witness" not in data
 
 
-@pytest.mark.parametrize("flag, env", [(["--budget", "-1"], None), ([], "-1")])
-def test_negative_budget_is_parse_error(capsys, monkeypatch, flag, env):
+def test_negative_budget_is_parse_error(capsys):
     # like --max-abs -1: a negative node budget is rejected, not run
-    if env is None:
-        monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
-    else:
-        monkeypatch.setenv(cli.BUDGET_ENV_VAR, env)
     code, out, err = run(
-        capsys, "form", "congruent", "--ring", "laurent", "--a", "[[1]]", "--b", "[[1]]", *flag
+        capsys, "form", "congruent", "--ring", "laurent", "--a", "[[1]]", "--b", "[[1]]",
+        "--budget", "-1",
     )
     assert code == 2
     assert out == ""
@@ -647,6 +643,27 @@ def test_cyclic_order_at_the_limit_is_accepted(capsys):
     code, out, _ = run(capsys, "form", "augment", "--ring", "Z4096", "--a", "[[1, 2], [2, 0]]")
     assert code == 0
     assert json.loads(out) == {"result": [[1, 2], [2, 0]]}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["congruent", "--b", "[[1]]"], {"status": "found", "witness": [["1"]]}),
+        (["nonsingular"], {"nonsingular": True, "det": "1"}),
+    ],
+    ids=["congruent", "nonsingular"],
+)
+def test_unit_forms_at_the_order_limit_need_no_circulant_determinant(
+    capsys, monkeypatch, argv, expected
+):
+    # the 4096 x 4096 determinant would take over an hour: a monomial is a unit
+    def integer_det(matrix):
+        raise AssertionError("the circulant determinant was computed")
+
+    monkeypatch.setattr(groupring, "integer_det", integer_det)
+    code, out, err = run(capsys, "form", *argv, "--ring", "Z4096", "--a", "[[1]]")
+    assert code == 0, err
+    assert expected.items() <= json.loads(out).items()
 
 
 @pytest.mark.parametrize(
@@ -803,6 +820,22 @@ def test_short_catalog_claiming_a_huge_box_fails_without_enumerating(monkeypatch
     with pytest.raises(ParseError, match="malformed catalog: 'max_abs'"):
         cli.CatalogFile.from_json_text(json.dumps(data))
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("max_abs", [0, 1, 2, 3])
+def test_rank_zero_catalog_reads_back_byte_for_byte(tmp_path, capsys, max_abs):
+    # rank 0 has one class whatever max_abs is, so max_abs may exceed the
+    # number of reports there
+    out_path = tmp_path / "catalog.json"
+    code, _, err = run(
+        capsys, "enumerate", "--manifold", "diag()", "--max-abs", str(max_abs),
+        "--out", str(out_path),
+    )
+    assert code == 0, err
+    text = out_path.read_text(encoding="utf-8")
+    catalog = cli.CatalogFile.from_json_text(text)
+    assert (catalog.max_abs, len(catalog.reports)) == (max_abs, 1)
+    assert catalog.to_json_text() == text
 
 
 def test_reading_a_catalog_leaves_the_collector_as_it_was():
@@ -962,19 +995,14 @@ def test_main_survives_malformed_inputs(capsys):
 
 
 # ---------------------------------------------------------------------------
-# budget resolution
+# budget
 
 
-def test_resolve_budget_precedence(monkeypatch):
-    monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
-    assert cli.resolve_budget(None) == 10**6
-    assert cli.resolve_budget(42) == 42
-    monkeypatch.setenv(cli.BUDGET_ENV_VAR, "1234")
-    assert cli.resolve_budget(None) == 1234
-    assert cli.resolve_budget(42) == 42
-    monkeypatch.setenv(cli.BUDGET_ENV_VAR, "not-a-number")
-    with pytest.raises(ParseError):
-        cli.resolve_budget(None)
+def test_budget_defaults_to_the_library_default():
+    args = cli.build_parser().parse_args(
+        ["form", "congruent", "--ring", "Z2", "--a", "[[1]]", "--b", "[[1]]"]
+    )
+    assert args.budget == hermitian.DEFAULT_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -1010,7 +1038,6 @@ def test_readme_lists_cli_examples():
 @pytest.mark.parametrize("line", _readme_commands())
 def test_readme_cli_example_exits_zero(capsys, monkeypatch, tmp_path, line):
     monkeypatch.chdir(tmp_path)  # the enumerate example writes --out
-    monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
     code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
     assert code == 0, err
     assert out or any(tmp_path.iterdir())

@@ -17,6 +17,7 @@ from spherecalc.groupring import (
     LaurentElem,
     LaurentRing,
 )
+from spherecalc.intlattice import integer_det
 
 
 @st.composite
@@ -204,6 +205,32 @@ def test_laurent_unit_implies_conjugate_unit(u):
     if u.is_unit():
         assert u.conjugate().is_unit()
         assert u.augment() in (1, -1)
+
+
+def test_cyclic_is_unit_agrees_with_the_circulant_determinant():
+    # the augmentation and monomial shortcuts must not change an answer
+    rng = random.Random(47)
+    named = {
+        (5, (-1, 1, 0, 0, 1)): True,  # -1 + T + T^4
+        (5, (1, 0, -1, -1, 0)): True,  # 1 - T^2 - T^3
+        (7, (-1, 1, 0, 0, 0, 0, 1)): True,  # -1 + T + T^6
+        (8, (-1, 1, 0, 0, 0, 0, 0, 1)): False,  # -1 + T + T^7, det -3
+        (7, (1, 1, 0, -1, 0, 0, 0)): False,  # 1 + T - T^3, det 8
+    }
+    elems = [GroupRingElem(d, coeffs) for d, coeffs in named]
+    assert [e.is_unit() for e in elems] == list(named.values())
+    assert all(e.augment() in (1, -1) for e in elems)
+    for d in range(1, 9):
+        ring = CyclicRing(d)
+        elems.append(ring.zero())
+        elems += [ring.monomial(k, c) for k in range(d) for c in (1, -1, 2)]
+        for _ in range(40):
+            coeffs = [rng.randint(-2, 2) for _ in range(d)]
+            elems.append(GroupRingElem(d, tuple(coeffs)))
+            coeffs[0] += rng.choice((1, -1)) - sum(coeffs)  # augmentation +-1
+            elems.append(GroupRingElem(d, tuple(coeffs)))
+    for e in elems:
+        assert e.is_unit() == (integer_det(e.multiplication_matrix()) in (1, -1)), e
 
 
 def test_units_agree_with_bounded_inverse_search_small():
