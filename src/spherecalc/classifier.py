@@ -18,11 +18,11 @@ Every verdict is a function of b2, sigma, ks and three invariants of the
 class: its divisibility d, the square y.y of y = x/d, and whether x is
 characteristic.  One private function, ``_verdict``, holds all the rules;
 ``classify`` and the single-rule functions compute the invariants of one
-class and read their answer off it.  ``walk_rows`` walks a coordinate box
-a row at a time with one odometer: a row is the run of the last
-coordinate, and it comes with the lazy invariants of its classes at O(1)
-cost per class.  ``enumerate_representable`` expands the rows into
-classes and builds their reports.
+class and read their answer off it.  ``Box`` walks a coordinate box a
+plane (the classes sharing their leading n-2 coordinates) at a time with
+one odometer; five invariants of a plane, its signature, give the lazy
+invariants of its classes at O(1) cost per class.
+``enumerate_representable`` expands the planes into classes and reports.
 """
 
 from __future__ import annotations
@@ -328,79 +328,84 @@ def _row_keys(g: int, hh: int, a: int, characteristic: bool, run: range, q_last:
     )
 
 
-def walk_rows(
-    manifold: FourManifold, max_abs: int
-) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, int, bool]]]]:
-    """Yield (prefix, keys) for every row of the box, in lexicographic order.
+class Box:
+    """The classes with coordinates in [-max_abs, max_abs], a plane at a time.
 
-    The box holds the classes with coordinates in [-max_abs, max_abs].  A
-    row is the run of the last coordinate t behind a fixed prefix of the
-    other n-1, and ``keys`` lazily yields (divisibility, x.x,
-    characteristic) of prefix + (t,) for t = -max_abs, ..., max_abs, so a
-    long row costs no memory until it is read.  With h = (prefix, 0),
-    x.x = h.h + t (2(Qh)_{n-1} + t Q_{n-1,n-1}), the divisibility is
-    gcd(gcd(prefix), t), and the characteristic classes are the coset
-    w + 2Z^n (``intlattice.characteristic_vector``), so the flag is a
-    parity comparison with w.  Rank 0 has the one row ((), keys) whose one
-    class is ().
-
-    One odometer walks the planes, the leading n-2 coordinates, and
-    carries Qh and h.h for h = (x_0, ..., x_{n-3}, 0, 0): stepping
-    coordinate k by delta changes h.h by 2 delta (Qh)_k + delta^2 Q_kk and
-    Qh by delta Q[k].  Inside a plane the next-to-last coordinate s moves
-    h.h and (Qh)_{n-1} by scalars, so the vector update runs once per
-    plane, not once per row.
+    A plane holds the classes that share their leading n-2 coordinates, the
+    head; its rows are the runs of the last coordinate t, one per value of
+    the next-to-last s.  ``planes`` yields the heads in lexicographic order,
+    each with its signature (gcd(head), h.h, 2(Qh)_{n-2}, (Qh)_{n-1},
+    characteristic flag of the head) for h = (head, 0, 0), and ``rows``
+    expands a signature alone into its plane's rows: (s,) and the lazy
+    (divisibility, x.x, characteristic) keys of t = -max_abs, ..., max_abs.
+    With h' = (head, s, 0), x.x = h'.h' + t (2(Qh')_{n-1} + t Q_{n-1,n-1})
+    and the divisibility is gcd(gcd(head), s, t); the characteristic
+    classes are the coset w + 2Z^n (``intlattice.characteristic_vector``),
+    so the flag is a parity comparison with w.  Ranks 0 and 1 have one
+    plane, with the empty head and one row ((), keys), whose classes are
+    (t,), or the one class () of rank 0.  One odometer walks the heads and
+    carries Qh and h.h: stepping coordinate k by delta changes h.h by
+    2 delta (Qh)_k + delta^2 Q_kk and Qh by delta Q[k].
     """
-    if max_abs < 0:
-        raise ValueError("max_abs must be nonnegative")
-    q = manifold.form.matrix
-    n = len(q)
-    if n == 0:
-        yield (), iter([(0, 0, True)])
-        return
-    w = intlattice.characteristic_vector(q)
-    m = max_abs
-    run = range(-m, m + 1)
-    last = n - 1
-    q_last, w_last = q[last][last], w[last]
-    if n == 1:
-        yield (), _row_keys(0, 0, 0, True, run, q_last, w_last)
-        return
-    p = n - 2
-    q_pp, q_pl, w_p = q[p][p], q[p][last], w[p]
-    head = [-m] * p
-    qh = [-m * sum(row[:p]) for row in q]
-    hh = -m * sum(qh[:p])
 
-    def step(k: int, delta: int) -> None:
-        nonlocal qh, hh
-        hh += 2 * delta * qh[k] + delta * delta * q[k][k]
-        qh = [v + delta * c for v, c in zip(qh, q[k])]
-        head[k] += delta
+    def __init__(self, manifold: FourManifold, max_abs: int):
+        if max_abs < 0:
+            raise ValueError("max_abs must be nonnegative")
+        self.q = q = manifold.form.matrix
+        self.max_abs = max_abs
+        self.run = range(-max_abs, max_abs + 1) if q else range(1)  # rank 0: t = 0, Q = 0
+        self.w = w = intlattice.characteristic_vector(q) if q else ()
+        self._last = (q[-1][-1], w[-1]) if q else (0, 0)
+        self._next = (q[-2][-2], q[-2][-1], w[-2]) if len(q) >= 2 else None
 
-    while True:
-        plane = tuple(head)
-        g = gcd(*plane)
-        plane_characteristic = all((h - wi) % 2 == 0 for h, wi in zip(plane, w))
-        b, c = 2 * qh[p], qh[last]
+    def planes(self) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int, int, bool]]]:
+        """Yield (head, signature) for every plane, in lexicographic order."""
+        q, w, m = self.q, self.w, self.max_abs
+        if len(q) < 2:
+            yield (), (0, 0, 0, 0, True)
+            return
+        p, last = len(q) - 2, len(q) - 1
+        head = [-m] * p
+        qh = [-m * sum(row[:p]) for row in q]
+        hh = -m * sum(qh[:p])
+
+        def step(k: int, delta: int) -> None:
+            nonlocal qh, hh
+            hh += 2 * delta * qh[k] + delta * delta * q[k][k]
+            qh = [v + delta * c for v, c in zip(qh, q[k])]
+            head[k] += delta
+
+        while True:
+            plane = tuple(head)
+            characteristic = all((h - wi) % 2 == 0 for h, wi in zip(plane, w))
+            yield plane, (gcd(*plane), hh, 2 * qh[p], qh[last], characteristic)
+            k = p - 1
+            while k >= 0 and head[k] == m:
+                k -= 1
+            if k < 0:
+                return
+            for j in range(k + 1, p):
+                step(j, -2 * m)
+            step(k, 1)
+
+    def rows(self, signature) -> Iterator[tuple[tuple[int, ...], Iterator[tuple[int, int, bool]]]]:
+        """Yield (s,), or () in rank 0 and 1, with the row's lazy keys, for a plane's rows."""
+        g, hh, b, c, characteristic = signature
+        run, (q_last, w_last) = self.run, self._last
+        if self._next is None:
+            yield (), _row_keys(g, hh, 2 * c, characteristic, run, q_last, w_last)
+            return
+        q_pp, q_pl, w_p = self._next
         for s in run:
-            yield plane + (s,), _row_keys(
+            yield (s,), _row_keys(
                 gcd(g, s),
                 hh + s * (b + s * q_pp),
                 2 * (c + s * q_pl),
-                plane_characteristic and s & 1 == w_p,
+                characteristic and s & 1 == w_p,
                 run,
                 q_last,
                 w_last,
             )
-        k = p - 1
-        while k >= 0 and head[k] == m:
-            k -= 1
-        if k < 0:
-            return
-        for j in range(k + 1, p):
-            step(j, -2 * m)
-        step(k, 1)
 
 
 def enumerate_representable(manifold: FourManifold, max_abs: int) -> list[SphereClassReport]:
@@ -411,11 +416,13 @@ def enumerate_representable(manifold: FourManifold, max_abs: int) -> list[Sphere
     (divisibility, x.x, characteristic), so the other fields are computed
     once per such key.
     """
+    box = Box(manifold, max_abs)
     fields = cache(lambda d, xx, c: astuple(report_from_invariants(manifold, (), d, xx, c))[1:])
-    suffixes = [(t,) for t in range(-max_abs, max_abs + 1)] if manifold.b2 else [()]
+    suffixes = [(t,) for t in box.run] if manifold.b2 else [()]
     return [
-        SphereClassReport(prefix + suffix, *fields(d, xx, c))
-        for prefix, keys in walk_rows(manifold, max_abs)
+        SphereClassReport(head + lead + suffix, *fields(d, xx, c))
+        for head, signature in box.planes()
+        for lead, keys in box.rows(signature)
         for suffix, (d, xx, c) in zip(suffixes, keys)
     ]
 

@@ -2,16 +2,16 @@
 
 JSON output is the stable contract; the table format is for humans and
 may change.  ``enumerate`` streams its catalog: it writes the bytes of
-``CatalogFile.to_json_text`` a row of the box at a time, in chunks,
-without keeping reports, so its memory stays flat however large the box
-and however long its rows; ``CatalogFile.from_json_text`` accepts only
-the catalog of the file's own header.  Matrix and class literals are JSON
-arrays of integers.  A hermitian-form literal is a JSON array of
-polynomial entries, bare or quoted, each read by ``parse_poly``: integer
-coefficients and powers of ``T`` (cyclic rings) or ``t``, with
-``t^-2``-style negative exponents (Laurent ring).  ``form congruent``'s
-``--budget`` bounds the nodes of the congruence search and defaults to
-``hermitian.DEFAULT_BUDGET``.
+``CatalogFile.to_json_text`` a plane of the box at a time, rendering each
+distinct plane once, without keeping reports, so its memory stays flat
+however large the box and however long its rows.
+``CatalogFile.from_json_text`` accepts only the catalog of the file's own
+header.  Matrix and class literals are JSON arrays of integers.  A
+hermitian-form literal is a JSON array of polynomial entries, bare or
+quoted, each read by ``parse_poly``: integer coefficients and powers of
+``T`` (cyclic rings) or ``t``, with ``t^-2``-style negative exponents
+(Laurent ring).  ``form congruent``'s ``--budget`` bounds the nodes of the
+congruence search and defaults to ``hermitian.DEFAULT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ import json
 import os
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from itertools import chain, islice
-from operator import add, eq, itemgetter
+from operator import eq, itemgetter
 
 from . import __version__, classifier, hermitian, intlattice
 from .classifier import FourManifold, SphereClassReport
@@ -354,47 +354,31 @@ def build_catalog(spec: ManifoldSpec, max_abs: int) -> CatalogFile:
     )
 
 
-#: Reports per write of a streamed catalog, and the most report bodies it
-#: keeps rendered.
+#: The most reports per write of a streamed catalog, the most report bodies
+#: it keeps rendered, and the most classes of the planes it keeps rendered.
 CHUNK_REPORTS = 4096
 
 
 class _ReportBodies(dict):
-    """Report text after the class, per (divisibility, x.x, characteristic) key.
+    """(report text after the class, representable, unique) per key.
 
-    A missing key is rendered on lookup, so the bodies of a row are one
-    ``map`` over its keys.  ``counts`` tallies the keys written since the
-    last ``fold``, which adds them to the summary totals through each key's
-    (representable, unique) flags and empties the cache.
+    A missing (divisibility, x.x, characteristic) key is rendered on lookup.
     """
 
     def __init__(self, manifold: FourManifold):
         super().__init__()
         self.manifold = manifold
-        self.flags = {}
-        self.counts = Counter()
-        self.classes = self.representable = self.unique = 0
 
-    def __missing__(self, key) -> str:
+    def __missing__(self, key) -> tuple[str, bool, bool]:
         report = classifier.report_from_invariants(self.manifold, (), *key)
         data = report.to_json_dict()
         del data["class"]
-        self.flags[key] = (
+        entry = self[key] = (
+            "    " + json.dumps(data, indent=2)[2:].replace("\n", "\n    "),
             report.exists in (classifier.EXISTS_YES, classifier.EXISTS_BY_DEFINITION),
             report.uniqueness == classifier.UNIQUE_ISOTOPY,
         )
-        body = self[key] = "    " + json.dumps(data, indent=2)[2:].replace("\n", "\n    ")
-        return body
-
-    def fold(self) -> None:
-        for key, n in self.counts.items():
-            is_representable, is_unique = self.flags[key]
-            self.classes += n
-            self.representable += n * is_representable
-            self.unique += n * is_unique
-        self.counts.clear()
-        self.flags.clear()
-        self.clear()
+        return entry
 
 
 def write_catalog(
@@ -403,55 +387,91 @@ def write_catalog(
     """Stream the catalog of the box to ``fh``; return (classes, representable, unique).
 
     The bytes are those of ``CatalogFile.to_json_text`` for the same
-    ``generated_at``, but no report is kept.  The box is rendered a row of
-    ``classifier.walk_rows`` at a time, and each row is one ``join``: the
-    class text up to the last coordinate is built once per row, the text
-    from the last coordinate to the body once per call, and a report's
-    body, which depends only on its (divisibility, x.x, characteristic)
-    key, is one lookup in a cache local to the call.  The summary counts
-    come from per-key counts.  A row longer than ``CHUNK_REPORTS`` is
-    rendered in slices of at most that many classes, and the cache is
-    emptied before a slice could take it past that many bodies, so memory
-    stays flat however long the rows.
+    ``generated_at``, but no report is kept.  Each plane of ``classifier.Box``
+    is one ``join`` of its head's text and each class's tail (the coordinates
+    after the head) and body (the rest, per key from a cache local to the
+    call).  Tails, bodies and counts depend only on the plane's signature, so
+    they are rendered once per signature: a repeated plane costs one ``join``
+    and three additions.  Both caches are emptied before they would hold
+    more than ``CHUNK_REPORTS`` bodies or classes, and a larger plane is
+    written in slices of at most that many classes without being kept, so
+    memory stays flat however large the box and however long its rows.
     """
+    box = classifier.Box(manifold, max_abs)
     empty = CatalogFile(spec, max_abs, (), __version__, generated_at).to_json_text()
     head, tail = empty.rsplit('"reports": []', 1)
     fh.write(head + '"reports": [\n')
     if manifold.b2:
         class_open, class_sep, class_close = '    {\n      "class": [\n        ', ",\n        ", "\n      ],\n"
-        run = range(-max_abs, max_abs + 1)
+        run = box.run
     else:
         class_open, class_sep, class_close = '    {\n      "class": [', "", "],\n"
         run = ("",)  # the one class of rank 0 has no last coordinate
+    plane_classes = len(run) ** min(manifold.b2, 2)
     starts = range(0, len(run), CHUNK_REPORTS)
-    tails_at = None
+    # the tails of the last coordinate for the slice of a row starting at i
+    tails_of = lru_cache(1)(lambda i: [f"{t}{class_close}" for t in run[i : i + CHUNK_REPORTS]])
     bodies = _ReportBodies(manifold)
+
+    def render(signature):
+        """The plane's (tails, bodies, representable, unique) in slices of at most CHUNK_REPORTS."""
+        tails, slice_bodies, representable, unique = [], [], 0, 0
+        for lead, keys in box.rows(signature):
+            lead = "".join([f"{v}{class_sep}" for v in lead])
+            for i in starts:
+                part = list(islice(keys, CHUNK_REPORTS))
+                if len(slice_bodies) + len(part) > CHUNK_REPORTS:
+                    yield tails, slice_bodies, representable, unique
+                    tails, slice_bodies, representable, unique = [], [], 0, 0
+                if len(bodies) + len(part) > CHUNK_REPORTS:
+                    bodies.clear()
+                entries = list(map(bodies.__getitem__, part))
+                tails += [lead + t for t in tails_of(i)] if lead else tails_of(i)
+                slice_bodies += map(itemgetter(0), entries)
+                representable += sum(map(itemgetter(1), entries))
+                unique += sum(map(itemgetter(2), entries))
+        yield tails, slice_bodies, representable, unique
+
+    # written when the next plane or slice would take it past CHUNK_REPORTS classes
     texts = []
-    pending = 0
-    lead = ""
-    for prefix, keys in classifier.walk_rows(manifold, max_abs):
-        row_open = class_open + "".join([f"{v}{class_sep}" for v in prefix])
-        sep = ",\n" + row_open
-        for i in starts:
-            part = list(islice(keys, CHUNK_REPORTS))
-            if len(bodies) + len(part) > CHUNK_REPORTS:
-                bodies.fold()
-            if tails_at != i:
-                tails = [f"{t}{class_close}" for t in run[i : i + CHUNK_REPORTS]]
-                tails_at = i
-            bodies.counts.update(part)
-            texts.append(row_open + sep.join(map(add, tails, map(bodies.__getitem__, part))))
-            pending += len(part)
-            if pending >= CHUNK_REPORTS:
-                fh.write(lead + ",\n".join(texts))
-                lead = ",\n"
-                texts.clear()
+    cut = 2  # the text of every class starts with ",\n", but the first report does not
+
+    def flush() -> None:
+        nonlocal cut
+        chunk = "".join(texts)[cut:]
+        texts.clear()
+        fh.write(chunk)
+        cut = 0
+
+    planes = {}
+    cached = classes = representable = unique = pending = 0
+    for coords, signature in box.planes():
+        slices = planes.get(signature)
+        if slices is None:
+            slices = render(signature)
+            if plane_classes <= CHUNK_REPORTS:
+                if cached + plane_classes > CHUNK_REPORTS:
+                    planes.clear()
+                    cached = 0
+                slices = planes[signature] = tuple(slices)
+                cached += plane_classes
+        head_text = ",\n" + class_open + "".join([f"{v}{class_sep}" for v in coords])
+        for tails, slice_bodies, r, u in slices:
+            n = len(slice_bodies)
+            if pending + n > CHUNK_REPORTS:
+                flush()
                 pending = 0
-    if texts:
-        fh.write(lead + ",\n".join(texts))
+            pieces = [head_text] * (3 * n)
+            pieces[1::3] = tails
+            pieces[2::3] = slice_bodies
+            texts.append("".join(pieces))
+            classes += n
+            representable += r
+            unique += u
+            pending += n
+    flush()
     fh.write("\n  ]" + tail)
-    bodies.fold()
-    return bodies.classes, bodies.representable, bodies.unique
+    return classes, representable, unique
 
 
 # ---------------------------------------------------------------------------

@@ -375,11 +375,14 @@ class GroupRingElem(_RingElement):
     def is_unit(self) -> bool:
         """True iff the element is invertible.
 
-        T -> 1 is a ring map to Z, so a unit augments to +-1, and then a
-        single nonzero coefficient makes the element +-T^k, a unit.  Any
-        other element is decided by the circulant determinant, O(d^3).
+        T -> 1 is a ring map to Z, and so is T -> -1 when d is even, so a
+        unit maps to +-1 under each; then a single nonzero coefficient
+        makes the element +-T^k, a unit.  Any other element is decided by
+        the circulant determinant, O(d^3).
         """
         if self.augment() not in (1, -1):
+            return False
+        if self.d % 2 == 0 and sum(self.coeffs[::2]) - sum(self.coeffs[1::2]) not in (1, -1):
             return False
         if self.coeffs.count(0) == self.d - 1:
             return True

@@ -18,8 +18,9 @@ The search is a breadth-first walk over products P of monomial scalings,
 swaps and monomial transvections.  A pointed form (A, z) is searched as
 the bordered form [[A, z], [z*, 0]], on which the generators act through
 the first m rows, so each state is one pair (P, B): B = P A0 P*,
-bordered by P z0 when pointed.  A queue entry is a parent state and one generator; the child's
-B is derived from the parent's when the entry is popped, by updating one
+bordered by P z0 when pointed.  A queue entry is a parent state and the
+generators still to apply to it, and each pop takes the next one; the
+child's B is derived from the parent's when it is popped, by updating one
 row and one column, so comparing forms needs no matrix product, and the
 child's P is built only if its form is new.  A state's children depend
 only on B, so the search deduplicates on B alone: a form is expanded
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 
 from . import intlattice
@@ -395,8 +396,9 @@ def _determinant_refutation(form0: HermitianForm, form1: HermitianForm) -> str |
 _SCALE, _SWAP, _ADD = "scale", "swap", "add"
 
 
-def _generators(ring: Ring, m: int):
-    """The packed generator table, in fixed order.
+@lru_cache(maxsize=8)
+def _generators(ring: Ring, m: int) -> tuple:
+    """The packed generator table, in fixed order, built once per (ring, m).
 
     Monomial scalings ("scale", i, i, (k, c)), swaps ("swap", i, j) and
     transvections ("add", i, j, (k, c)), where (k, c) is the monomial
@@ -417,7 +419,7 @@ def _generators(ring: Ring, m: int):
             if i != j:
                 for w in [(k, c) for c in (1, -1, 2, -2) for k in exps]:
                     gens.append((_ADD, i, j, w))
-    return gens
+    return tuple(gens)
 
 
 def _child_form(gen, b, ring: Ring):
@@ -503,11 +505,11 @@ def _bidirectional_search(
     The forward side walks P A0 P* from A0, the backward side Q A1 Q*
     from A1, both with the same generators; a pointed search borders each
     form by its point, [[A, z], [z*, 0]], so a state is one matrix.  A
-    queue entry holds a parent's packed matrix, the parent's form and
-    one generator, so expanding a node appends one entry per generator
-    and shares the parent's matrix and form among them.  A child is
-    built only when its entry is popped: its form is derived first, and
-    an entry whose form its side has already reached is dropped
+    queue entry holds a parent's packed matrix, the parent's form and the
+    generator table, and a per-side cursor walks the first entry's
+    generators, so the queue holds one entry per node, not per child.  A
+    child is built only when it is popped: its form is derived first, and
+    a child whose form its side has already reached is dropped
     uncounted; otherwise the child matrix is built and its one changed
     row checked against the growth limits, and a child outside them is
     dropped without reaching its form.  Children depend only on the
@@ -525,7 +527,7 @@ def _bidirectional_search(
     reached before the first pop, so identical endpoints give the
     identity at 0 nodes.
 
-    The side with the shorter queue pops next, the forward side on a tie.
+    The side with fewer children pending pops next, forward on a tie.
     A node is a distinct form popped on either side, the meeting form
     included, and ``budget`` bounds their number.  When either side's
     queue runs out, its whole orbit within the growth limits was
@@ -537,12 +539,13 @@ def _bidirectional_search(
     row_ok = ring.row_ok
     start = _pack_matrix(ring, ring_identity(ring, m))
     ends = [end.packed for end in (pointed or (form0, form1))]
-    queues = [deque([(start, key, None)]) for key in ends]
+    queues = [deque([(start, key, (None,))]) for key in ends]  # one child: the start
+    cursors, pending = [0, 0], [1, 1]
     reached = [{key: None} for key in ends]
     meet = ends[0] if ends[0] == ends[1] else None
     nodes = 0
     while meet is None:
-        if not queues[0] or not queues[1]:
+        if not pending[0] or not pending[1]:
             return CongruenceOutcome(
                 SEARCH_NOT_FOUND,
                 reason="generator orbit exhausted within the entry-growth limits",
@@ -552,8 +555,13 @@ def _bidirectional_search(
             return CongruenceOutcome(
                 SEARCH_NOT_FOUND, reason="node budget exhausted", nodes_explored=nodes
             )
-        side = 1 if len(queues[1]) < len(queues[0]) else 0
-        p, key, made_by = queues[side].popleft()
+        side = 1 if pending[1] < pending[0] else 0
+        p, key, todo = queues[side][0]
+        made_by = todo[cursors[side]]
+        cursors[side] = (cursors[side] + 1) % len(todo)
+        if not cursors[side]:
+            queues[side].popleft()
+        pending[side] -= 1
         if made_by is not None:
             parent, key = key, _child_form(made_by, key, ring)
             if key in reached[side]:
@@ -566,7 +574,8 @@ def _bidirectional_search(
         if key in reached[1 - side]:
             meet = key
         else:
-            queues[side].extend([(p, key, gen) for gen in gens])
+            queues[side].append((p, key, gens))
+            pending[side] += len(gens)
     witness = start
     for gen in reversed(_path(reached[0], meet)):
         witness = _apply(gen, witness, ring)

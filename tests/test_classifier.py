@@ -17,6 +17,7 @@ from spherecalc.classifier import (
     REALIZABLE,
     UNIQUE_ISOTOPY,
     UNKNOWN,
+    Box,
     FourManifold,
     classify,
     enumerate_representable,
@@ -25,7 +26,6 @@ from spherecalc.classifier import (
     lw_bound,
     realizable_forms_check,
     uniqueness_status,
-    walk_rows,
 )
 from spherecalc.errors import (
     DimensionMismatch,
@@ -268,27 +268,37 @@ def test_enumerate_two_hyperbolics_matches_predicate_small_box():
 
 
 @pytest.mark.parametrize("max_abs", [0, 1, 2, 3])
-def test_walk_rows_expand_to_the_direct_invariants_on_random_forms(max_abs):
+def test_box_planes_expand_to_the_direct_invariants_on_random_forms(max_abs):
     rng = random.Random(37 + max_abs)
     coords = range(-max_abs, max_abs + 1)
     bases = [((1,),), ((-1,),), H_MATRIX, ((1, 2), (2, 3)), block_diag(H_MATRIX, ((1,),)), HH_ROWS]
     for base in bases if max_abs < 3 else [b for b in bases if len(b) <= 3]:
         rows = oracles.conjugate_form(base, oracles.random_unimodular(rng, len(base)))
         manifold = FourManifold(IntersectionForm(rows), rng.randint(0, 1))
-        # every row is read after the walk has ended: its keys are bound
-        walked = list(walk_rows(manifold, max_abs))
-        prefixes = [prefix for prefix, _ in walked]
-        assert prefixes == list(itertools.product(coords, repeat=len(rows) - 1))
-        expanded = [(prefix + (t,), *key) for prefix, keys in walked for t, key in zip(coords, keys)]
+        box = Box(manifold, max_abs)
+        # every plane is expanded after the walk has ended, and every row is
+        # read after its plane's expansion has ended: a plane's rows depend
+        # on its signature alone, and a row's keys are bound
+        planes = list(box.planes())
+        heads = [head for head, _ in planes]
+        assert heads == list(itertools.product(coords, repeat=max(len(rows) - 2, 0)))
+        expanded = [
+            (head + lead + (t,), *key)
+            for head, signature in planes
+            for lead, keys in list(box.rows(signature))
+            for t, key in zip(coords, keys)
+        ]
         assert [x for x, *_ in expanded] == list(itertools.product(coords, repeat=len(rows)))
         for x, d, xx, characteristic in expanded:
             assert d == intlattice.divisibility(x)
             assert xx == intlattice.self_intersection(rows, x)
             assert characteristic == intlattice.is_characteristic(rows, x)
-    [(prefix, keys)] = walk_rows(FourManifold(IntersectionForm(()), 0), max_abs)
-    assert (prefix, list(keys)) == ((), [(0, 0, True)])
+    box = Box(FourManifold(IntersectionForm(()), 0), max_abs)
+    [(head, signature)] = box.planes()
+    [(lead, keys)] = box.rows(signature)
+    assert (head, lead, list(keys)) == ((), (), [(0, 0, True)])
     with pytest.raises(ValueError):
-        next(walk_rows(CP2, -1))
+        Box(CP2, -1)
 
 
 def test_characteristic_vector_spans_the_characteristic_coset():

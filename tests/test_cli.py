@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import importlib
 import io
@@ -278,10 +279,10 @@ def test_enumerate_negative_bound(capsys):
 
 
 def test_enumerate_out_in_a_missing_directory_is_input_error(tmp_path, capsys, monkeypatch):
-    def walk_rows(*_):
+    def box(*_):
         raise AssertionError("no class may be walked before --out is open")
 
-    monkeypatch.setattr(cli.classifier, "walk_rows", walk_rows)
+    monkeypatch.setattr(cli.classifier, "Box", box)
     out_path = tmp_path / "missing" / "x.json"
     code, out, err = run(
         capsys, "enumerate", "--manifold", "CP2", "--max-abs", "1", "--out", str(out_path)
@@ -404,33 +405,35 @@ def test_streamed_catalog_equals_the_in_memory_catalog(manifold, ks, max_abs):
     assert counts == summary_counts(expected)
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 9, 10])
+@functools.cache
+def cached_in_memory_text(manifold, max_abs):
+    spec = cli.parse_manifold_spec(manifold)
+    expected = in_memory_catalog(spec, max_abs)
+    return expected.to_json_text(), summary_counts(expected)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 8, 9, 10, 24, 25, 26])
 def test_streamed_catalog_is_independent_of_the_chunk_size(monkeypatch, chunk):
-    # CP2 is one row of 9 classes, H#H at box 2 is 125 rows of 5, and rank
-    # 0 is one class: the chunk sizes cut rows into slices and end writes
-    # inside and between rows, and they empty the body cache at different
-    # points
+    # CP2 is one plane and one row of 9 classes, H#H at box 2 is one plane
+    # of 625 classes in rows of 5, H#H#H at box 2 is 625 planes of 25
+    # classes, E8 at box 1 is 729 planes of 9, and rank 0 is one class: the
+    # chunk sizes fall below, at and above a plane's class count, so planes
+    # are cached, evicted, and streamed in slices that cut rows, and writes
+    # end inside and between planes
     monkeypatch.setattr(cli, "CHUNK_REPORTS", chunk)
-    for manifold, max_abs in (("CP2", 4), ("H#H", 2), ("diag()", 1)):
+    for manifold, max_abs in (("CP2", 4), ("H#H", 2), ("H#H#H", 2), ("E8", 1), ("diag()", 1)):
         spec = cli.parse_manifold_spec(manifold)
-        expected = in_memory_catalog(spec, max_abs)
         out = io.StringIO()
         counts = cli.write_catalog(out, spec, spec.manifold(), max_abs, STAMP)
-        assert out.getvalue() == expected.to_json_text()
-        assert counts == summary_counts(expected)
+        assert (out.getvalue(), counts) == cached_in_memory_text(manifold, max_abs)
 
 
-def test_streamed_catalog_memory_is_flat_on_long_rows(monkeypatch):
-    # CP2 is one row, and each |t| has its own body.  With the write chunk
-    # and the body cache scaled down to 256 reports, a row ten times longer
-    # raises the peak by less than 256 KB; a cache that kept every body grew
-    # ~2.7 MB here.  At the real chunk size the peak at --max-abs 50000 is
-    # ~0.2 MB above that at 5000, but that pair takes ~40 s under tracemalloc.
-    monkeypatch.setattr(cli, "CHUNK_REPORTS", 256)
-    spec = cli.parse_manifold_spec("CP2")
+def peak_of_streamed_catalogs(manifold, max_abs_values):
+    """The tracemalloc peak of ``write_catalog`` to devnull, per box."""
+    spec = cli.parse_manifold_spec(manifold)
     manifold = spec.manifold()
     peaks = []
-    for max_abs in (500, 5000):
+    for max_abs in max_abs_values:
         with open(os.devnull, "w", encoding="utf-8") as sink:
             tracemalloc.start()
             try:
@@ -438,6 +441,26 @@ def test_streamed_catalog_memory_is_flat_on_long_rows(monkeypatch):
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+    return peaks
+
+
+def test_streamed_catalog_memory_is_flat_on_long_rows(monkeypatch):
+    # CP2 is one row, and each |t| has its own body.  With the write chunk
+    # and the caches scaled down to 256 reports, a row ten times longer
+    # raises the peak by less than 256 KB; a cache that kept every body grew
+    # ~2.7 MB here.  At the real chunk size the peak at --max-abs 50000 is
+    # ~0.2 MB above that at 5000, but that pair takes ~40 s under tracemalloc.
+    monkeypatch.setattr(cli, "CHUNK_REPORTS", 256)
+    peaks = peak_of_streamed_catalogs("CP2", (500, 5000))
+    assert peaks[1] - peaks[0] < 256 * 1024, peaks
+
+
+def test_streamed_catalog_memory_is_flat_on_large_planes(monkeypatch):
+    # H is one plane of (2 max_abs + 1)^2 classes, far more than the 256 a
+    # plane may hold to be kept, so it is streamed in slices of rows: a plane
+    # almost nine times larger raises the peak by less than 256 KB
+    monkeypatch.setattr(cli, "CHUNK_REPORTS", 256)
+    peaks = peak_of_streamed_catalogs("H", (15, 45))
     assert peaks[1] - peaks[0] < 256 * 1024, peaks
 
 
@@ -664,6 +687,19 @@ def test_unit_forms_at_the_order_limit_need_no_circulant_determinant(
     code, out, err = run(capsys, "form", *argv, "--ring", "Z4096", "--a", "[[1]]")
     assert code == 0, err
     assert expected.items() <= json.loads(out).items()
+
+
+def test_a_nonunit_at_the_order_limit_is_screened_at_t_minus_one(capsys, monkeypatch):
+    # T + T^4095 - 1 augments to 1, but T -> -1 sends it to -3, not +-1
+    def integer_det(matrix):
+        raise AssertionError("the circulant determinant was computed")
+
+    monkeypatch.setattr(groupring, "integer_det", integer_det)
+    code, out, err = run(
+        capsys, "form", "nonsingular", "--ring", "Z4096", "--a", "[[T+T^4095-1]]"
+    )
+    assert code == 0, err
+    assert json.loads(out)["nonsingular"] is False
 
 
 @pytest.mark.parametrize(

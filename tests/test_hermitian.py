@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -409,6 +410,26 @@ def test_search_budget_exhaustion_is_reported():
     assert "budget" in out.reason
 
 
+def test_capped_pointed_search_keeps_its_frontier_small():
+    # H over the Laurent ring, pointed at e0 and at (2 - t) e0: the points
+    # augment to the same divisibility, so nothing refutes the pair and the
+    # search runs into its budget.  A queue entry per child (59 generators
+    # at m = 2) peaked at ~26 MB here; one entry per expanded node peaks at
+    # ~6 MB.
+    form = extend_integer_form(H_MATRIX, L)
+    pointed0 = PointedHermitianForm(form, (L.one(), L.zero()))
+    pointed1 = PointedHermitianForm(form, (L.from_int(2) - L.monomial(1), L.zero()))
+    tracemalloc.start()
+    try:
+        out = pointed_congruence_search(pointed0, pointed1, budget=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.status, out.reason) == (hermitian.SEARCH_NOT_FOUND, "node budget exhausted")
+    assert out.nodes_explored == 5000
+    assert peak < 12 * 2**20, peak
+
+
 def test_search_orbit_exhaustion_without_determinant_refutation():
     # order 5 has units beyond +-T^k, so the determinant refutation is
     # skipped and the 1x1 search exhausts the monomial orbit honestly
@@ -630,7 +651,7 @@ def test_every_generator_inverse_is_in_the_table(ring):
     for m in range(1, 4):
         gens = hermitian._generators(ring, m)
         inverse = {gen: hermitian._inverse(gen, ring) for gen in gens}
-        assert list(inverse) == gens
+        assert tuple(inverse) == gens
         assert set(inverse.values()) == set(gens)
         p = tuple(tuple(_random_element(rng, ring) for _ in range(m)) for _ in range(m))
         for gen in gens:
