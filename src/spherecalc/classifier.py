@@ -453,11 +453,8 @@ def realizable_forms_check(
         return RealizabilityResult(
             NOT_REALIZABLE, reason=f"form is singular: det {form.det} is not a unit"
         )
+    # det A is +-t^k, and augmentation is a ring map, so det aug(A) is +-1
     augmented = hermitian.augment_form(form)
-    if intlattice.integer_det(augmented) not in (1, -1):
-        return RealizabilityResult(
-            NOT_REALIZABLE, reason="augmented form is not unimodular"
-        )
     if len(augmented) != manifold.b2:
         return RealizabilityResult(
             NOT_REALIZABLE,

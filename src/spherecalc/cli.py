@@ -1,10 +1,10 @@
 """Command-line front end: classification queries, catalogs, form algebra.
 
 JSON output is the stable contract; the table format is for humans and
-may change.  ``enumerate`` streams its catalog: it writes the bytes of
-``CatalogFile.to_json_text`` a plane of the box at a time, rendering each
-distinct plane once, without keeping reports, so its memory stays flat
-however large the box and however long its rows.
+may change.  A catalog is a function of its header, ``CatalogFile``, and
+``write_catalog`` is its one renderer: it streams the catalog a plane of the
+box at a time, rendering each distinct plane once and keeping no report, so
+memory stays flat however large the box and however long its rows.
 ``CatalogFile.from_json_text`` accepts only the catalog of the file's own
 header.  Matrix and class literals are JSON arrays of integers.  A
 hermitian-form literal is a JSON array of polynomial entries, bare or
@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
 import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, islice
 from operator import eq, itemgetter
 
@@ -229,44 +230,49 @@ def parse_manifold_spec(text: str, ks: int = 0) -> ManifoldSpec:
 
 @dataclass(frozen=True)
 class CatalogFile:
+    """A catalog's header; its reports are fixed by the manifold and ``max_abs``.
+
+    No report is stored: ``reports`` classifies the box on first use, and
+    ``to_json_text`` streams the text through ``write_catalog``.
+    """
+
     manifold: ManifoldSpec
     max_abs: int
-    reports: tuple[SphereClassReport, ...]
     tool_version: str
     generated_at: str
 
-    def __post_init__(self):
-        classes = [r.x for r in self.reports]
-        if classes != sorted(classes):
-            raise ValueError("catalog reports must be sorted lexicographically by class")
+    @cached_property
+    def reports(self) -> tuple[SphereClassReport, ...]:
+        return tuple(classifier.enumerate_representable(self.manifold.manifold(), self.max_abs))
 
-    def to_json_dict(self) -> dict:
+    def _header(self) -> dict:
+        """The document without its reports, as ``write_catalog`` writes it."""
         return {
             "schema": CATALOG_SCHEMA,
             "tool_version": self.tool_version,
             "generated_at": self.generated_at,
             "manifold": self.manifold.to_json_dict(),
             "max_abs": self.max_abs,
-            "reports": [r.to_json_dict() for r in self.reports],
+            "reports": [],
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        out = io.StringIO()
+        write_catalog(out, self, self.manifold.manifold())
+        return out.getvalue()
 
     @classmethod
     def from_json_text(cls, text: str) -> "CatalogFile":
         """Read a catalog, accepting it only if it is the catalog of its own header.
 
-        A catalog is a function of its manifold, ``max_abs``, tool version
-        and timestamp.  After a check that costs O(len(text)) -- ``max_abs``
-        is a nonnegative integer, at most len(reports) when b2 >= 1, and
-        there are (2 max_abs + 1)^b2 reports --
-        ``classifier.enumerate_representable`` rebuilds the
-        reports.  The document must hold the rebuilt catalog's values, with
-        their types: the header those of an empty-report catalog's
-        ``to_json_dict()``, each report those of its own.  Only whitespace
-        and key order may differ.  The reports returned are computed, never
-        decoded, so no value of the file reaches the program.
+        After a check that costs O(len(text)) -- ``max_abs`` is a
+        nonnegative integer, at most len(reports) when b2 >= 1, and there
+        are (2 max_abs + 1)^b2 reports -- ``classifier.enumerate_representable``
+        rebuilds the reports.  The document must hold the values of the
+        header and of each rebuilt report, with their types; only whitespace
+        and key order may differ.  The header it checked is returned, and the
+        rebuilt reports are dropped, so no value of the file reaches the
+        program and the read keeps no report.
         """
         # The decoded document and the rebuilt reports are millions of
         # containers without cycles, and the cyclic collector would traverse
@@ -290,7 +296,7 @@ class CatalogFile:
             spec = ManifoldSpec.from_json_dict(data["manifold"])
             max_abs, reports = data["max_abs"], data["reports"]
             # each value is coerced to its type, so a mistyped one fails the comparison
-            header = cls(spec, max_abs, (), str(data["tool_version"]), str(data["generated_at"]))
+            header = cls(spec, max_abs, str(data["tool_version"]), str(data["generated_at"]))
         except (KeyError, TypeError, ValueError, OverflowError, SpherecalcError) as exc:
             raise ParseError(f"malformed catalog: {exc!r}") from exc
         if not isinstance(reports, list):
@@ -309,7 +315,7 @@ class CatalogFile:
             )
         # JSON text, unlike ==, tells true from 1 and 1.0 from 1
         if json.dumps({**data, "reports": []}, sort_keys=True) != json.dumps(
-            header.to_json_dict(), sort_keys=True
+            header._header(), sort_keys=True
         ):
             raise ParseError("malformed catalog: a mistyped value or an unknown key in the header")
         try:
@@ -320,7 +326,7 @@ class CatalogFile:
         expected = map(SphereClassReport.to_json_dict, rebuilt)
         if not all(map(eq, reports, expected)) or not _numbers_typed(reports):
             raise ParseError("malformed catalog: the reports are not those of its header")
-        return cls(spec, max_abs, tuple(rebuilt), header.tool_version, header.generated_at)
+        return header
 
 
 _REPORT_INTS = itemgetter("divisibility", "lw_bound", "b2", "sigma", "ks")
@@ -338,19 +344,10 @@ def _numbers_typed(reports: list) -> bool:
     return {*map(type, flags)} <= {bool} and {*map(type, numbers)} <= {int, type(None)}
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def build_catalog(spec: ManifoldSpec, max_abs: int) -> CatalogFile:
-    """The whole catalog in memory; ``enumerate`` streams the same bytes."""
-    reports = classifier.enumerate_representable(spec.manifold(), max_abs)
+    """The catalog of the box, stamped now by this tool version."""
     return CatalogFile(
-        manifold=spec,
-        max_abs=max_abs,
-        reports=tuple(reports),
-        tool_version=__version__,
-        generated_at=_now(),
+        spec, max_abs, __version__, datetime.now(timezone.utc).isoformat(timespec="seconds")
     )
 
 
@@ -381,13 +378,13 @@ class _ReportBodies(dict):
         return entry
 
 
-def write_catalog(
-    fh, spec: ManifoldSpec, manifold: FourManifold, max_abs: int, generated_at: str
-) -> tuple[int, int, int]:
-    """Stream the catalog of the box to ``fh``; return (classes, representable, unique).
+def write_catalog(fh, catalog: CatalogFile, manifold: FourManifold) -> tuple[int, int, int]:
+    """Stream ``catalog`` to ``fh``; return (classes, representable, unique).
 
-    The bytes are those of ``CatalogFile.to_json_text`` for the same
-    ``generated_at``, but no report is kept.  Each plane of ``classifier.Box``
+    The one catalog renderer: ``enumerate`` and ``CatalogFile.to_json_text``
+    write through it, and ``manifold`` is the caller's ``FourManifold`` of
+    the header's spec.  The text around the reports is the header dict's,
+    indented by two, and no report is kept.  Each plane of ``classifier.Box``
     is one ``join`` of its head's text and each class's tail (the coordinates
     after the head) and body (the rest, per key from a cache local to the
     call).  Tails, bodies and counts depend only on the plane's signature, so
@@ -397,9 +394,8 @@ def write_catalog(
     written in slices of at most that many classes without being kept, so
     memory stays flat however large the box and however long its rows.
     """
-    box = classifier.Box(manifold, max_abs)
-    empty = CatalogFile(spec, max_abs, (), __version__, generated_at).to_json_text()
-    head, tail = empty.rsplit('"reports": []', 1)
+    box = classifier.Box(manifold, catalog.max_abs)
+    head, tail = json.dumps(catalog._header(), indent=2).rsplit('"reports": []', 1)
     fh.write(head + '"reports": [\n')
     if manifold.b2:
         class_open, class_sep, class_close = '    {\n      "class": [\n        ', ",\n        ", "\n      ],\n"
@@ -470,7 +466,7 @@ def write_catalog(
             unique += u
             pending += n
     flush()
-    fh.write("\n  ]" + tail)
+    fh.write("\n  ]" + tail + "\n")
     return classes, representable, unique
 
 
@@ -517,14 +513,15 @@ def cmd_enumerate(args) -> int:
     if args.max_abs < 0:
         raise ParseError("--max-abs must be nonnegative")
     manifold = spec.manifold()
+    catalog = build_catalog(spec, args.max_abs)
     if not args.out:
-        counts = write_catalog(sys.stdout, spec, manifold, args.max_abs, _now())
+        counts = write_catalog(sys.stdout, catalog, manifold)
         sys.stdout.flush()  # a closed pipe fails here, before the summary
         print(_summary(*counts), file=sys.stderr)
         return 0
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            counts = write_catalog(fh, spec, manifold, args.max_abs, _now())
+            counts = write_catalog(fh, catalog, manifold)
     except OSError as exc:
         print(f"error: cannot write --out {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
         return 1

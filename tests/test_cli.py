@@ -198,6 +198,14 @@ def test_classify_parse_error_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("entry", ["1.5", "true"])
+def test_non_integer_class_entry_is_parse_error(capsys, entry):
+    code, out, err = run(capsys, "classify", "--manifold", "CP2", "--class", f"[{entry}]")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: class entries must be integers, got {json.loads(entry)!r}\n"
+
+
 def test_classify_dimension_error_exit_code(capsys):
     code, _, err = run(capsys, "classify", "--manifold", "CP2", "--class", "[1,0]")
     assert code == 1
@@ -377,39 +385,85 @@ CATALOG_CASES = [
 
 
 def in_memory_catalog(spec, max_abs):
-    """The catalog of the box built from one ``classify`` call per class."""
+    """(text, reports) of the box's catalog, from one ``classify`` call per class.
+
+    The text is rendered here, as one ``json.dumps`` of the whole
+    document, independently of ``cli.write_catalog``.
+    """
     manifold = spec.manifold()
     coords = range(-max_abs, max_abs + 1)
     reports = tuple(
         classifier.classify(manifold, x)
         for x in itertools.product(coords, repeat=manifold.b2)
     )
-    return cli.CatalogFile(spec, max_abs, reports, __version__, STAMP)
+    document = {
+        "schema": cli.CATALOG_SCHEMA,
+        "tool_version": __version__,
+        "generated_at": STAMP,
+        "manifold": spec.to_json_dict(),
+        "max_abs": max_abs,
+        "reports": [r.to_json_dict() for r in reports],
+    }
+    return json.dumps(document, indent=2) + "\n", reports
 
 
-def summary_counts(catalog):
+def summary_counts(reports):
     return (
-        len(catalog.reports),
-        sum(r.exists in ("Yes", "YesByDefinition") for r in catalog.reports),
-        sum(r.uniqueness == "UniqueIsotopy" for r in catalog.reports),
+        len(reports),
+        sum(r.exists in ("Yes", "YesByDefinition") for r in reports),
+        sum(r.uniqueness == "UniqueIsotopy" for r in reports),
     )
+
+
+def streamed(spec, max_abs):
+    """(text, counts) of ``cli.write_catalog`` for the box, stamped STAMP."""
+    out = io.StringIO()
+    catalog = cli.CatalogFile(spec, max_abs, __version__, STAMP)
+    counts = cli.write_catalog(out, catalog, spec.manifold())
+    return out.getvalue(), counts
+
+
+def cp2_document():
+    """The decoded CP2 box-1 catalog, to tamper with."""
+    return json.loads(in_memory_catalog(cli.parse_manifold_spec("CP2"), 1)[0])
 
 
 @pytest.mark.parametrize("manifold,ks,max_abs", CATALOG_CASES)
 def test_streamed_catalog_equals_the_in_memory_catalog(manifold, ks, max_abs):
     spec = cli.parse_manifold_spec(manifold, ks=ks)
-    expected = in_memory_catalog(spec, max_abs)
-    out = io.StringIO()
-    counts = cli.write_catalog(out, spec, spec.manifold(), max_abs, STAMP)
-    assert out.getvalue() == expected.to_json_text()
-    assert counts == summary_counts(expected)
+    text, reports = in_memory_catalog(spec, max_abs)
+    assert streamed(spec, max_abs) == (text, summary_counts(reports))
+    catalog = cli.CatalogFile(spec, max_abs, __version__, STAMP)
+    assert catalog.to_json_text() == text
+    assert catalog.reports == reports
+
+
+def test_serialising_a_catalog_renders_each_report_body_once(monkeypatch):
+    # a report depends on its class only through (divisibility, x.x,
+    # characteristic), and H#H box 2 has 625 classes but far fewer such keys
+    spec = cli.parse_manifold_spec("H#H")
+    expected, reports = in_memory_catalog(spec, 2)
+
+    def square(x):
+        return sum(a * q * b for a, row in zip(x, spec.matrix) for q, b in zip(row, x))
+
+    keys = {(r.divisibility, square(r.x), r.characteristic) for r in reports}
+    calls = []
+    to_json_dict = classifier.SphereClassReport.to_json_dict
+
+    def counted(report):
+        calls.append(report.x)
+        return to_json_dict(report)
+
+    monkeypatch.setattr(classifier.SphereClassReport, "to_json_dict", counted)
+    assert cli.CatalogFile(spec, 2, __version__, STAMP).to_json_text() == expected
+    assert len(calls) == len(keys) < len(reports)
 
 
 @functools.cache
 def cached_in_memory_text(manifold, max_abs):
-    spec = cli.parse_manifold_spec(manifold)
-    expected = in_memory_catalog(spec, max_abs)
-    return expected.to_json_text(), summary_counts(expected)
+    text, reports = in_memory_catalog(cli.parse_manifold_spec(manifold), max_abs)
+    return text, summary_counts(reports)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 8, 9, 10, 24, 25, 26])
@@ -423,9 +477,7 @@ def test_streamed_catalog_is_independent_of_the_chunk_size(monkeypatch, chunk):
     monkeypatch.setattr(cli, "CHUNK_REPORTS", chunk)
     for manifold, max_abs in (("CP2", 4), ("H#H", 2), ("H#H#H", 2), ("E8", 1), ("diag()", 1)):
         spec = cli.parse_manifold_spec(manifold)
-        out = io.StringIO()
-        counts = cli.write_catalog(out, spec, spec.manifold(), max_abs, STAMP)
-        assert (out.getvalue(), counts) == cached_in_memory_text(manifold, max_abs)
+        assert streamed(spec, max_abs) == cached_in_memory_text(manifold, max_abs)
 
 
 def peak_of_streamed_catalogs(manifold, max_abs_values):
@@ -434,10 +486,11 @@ def peak_of_streamed_catalogs(manifold, max_abs_values):
     manifold = spec.manifold()
     peaks = []
     for max_abs in max_abs_values:
+        catalog = cli.CatalogFile(spec, max_abs, __version__, STAMP)
         with open(os.devnull, "w", encoding="utf-8") as sink:
             tracemalloc.start()
             try:
-                cli.write_catalog(sink, spec, manifold, max_abs, STAMP)
+                cli.write_catalog(sink, catalog, manifold)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -476,13 +529,13 @@ def test_enumerate_command_streams_the_in_memory_catalog(tmp_path, capsys, to_fi
     text = out_path.read_text(encoding="utf-8") if to_file else out
     summary = out.splitlines()[0] if to_file else err.strip()
     stamp = json.loads(text)["generated_at"]
-    expected = in_memory_catalog(spec, 1)
-    assert text == expected.to_json_text().replace(STAMP, stamp)
-    classes, representable, unique = summary_counts(expected)
+    expected, reports = in_memory_catalog(spec, 1)
+    assert text == expected.replace(STAMP, stamp)
+    classes, representable, unique = summary_counts(reports)
     assert summary == (
         f"classes: {classes}  representable: {representable}  unique-isotopy: {unique}"
     )
-    assert cli.build_catalog(spec, 1).reports == expected.reports
+    assert cli.build_catalog(spec, 1).reports == reports
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +854,7 @@ def test_catalog_rejects_malformed_json(text, message):
     ],
 )
 def test_catalog_with_a_missing_or_mistyped_key_is_a_parse_error(key, value):
-    data = in_memory_catalog(cli.parse_manifold_spec("CP2"), 1).to_json_dict()
+    data = cp2_document()
     assert cli.CatalogFile.from_json_text(json.dumps(data)).max_abs == 1
     if value is None:
         del data[key]
@@ -816,31 +869,45 @@ def _set(key, value, report):
     return lambda data: data["reports"][report].update({key: value})
 
 
+_MALFORMED = "malformed catalog"
+
+
 @pytest.mark.parametrize(
-    "tamper",
+    "tamper, message",
     [
-        _set("characteristic", "no", report=0),
-        _set("b2", 1.7, report=0),
-        _set("b2", 1.0, report=0),
-        _set("class", [True], report=2),
-        _set("characteristic", 1, report=0),
-        _set("exists", "No", report=0),
-        _set("ks", False, report=1),
-        lambda data: data["manifold"].update(matrix=[[True]]),
-        lambda data: data["manifold"].update(ks=float("inf")),
-        lambda data: data.update(reports=data["reports"][:1]),
-        lambda data: data["reports"].reverse(),
+        (_set("characteristic", "no", report=0), _MALFORMED),
+        (_set("b2", 1.7, report=0), _MALFORMED),
+        (_set("b2", 1.0, report=0), _MALFORMED),
+        (_set("class", [True], report=2), _MALFORMED),
+        (_set("characteristic", 1, report=0), _MALFORMED),
+        (_set("exists", "No", report=0), _MALFORMED),
+        (_set("ks", False, report=1), _MALFORMED),
+        (lambda data: data["manifold"].update(matrix=[[True]]), _MALFORMED),
+        (lambda data: data["manifold"].update(ks=float("inf")), _MALFORMED),
+        (lambda data: data.update(reports=data["reports"][:1]), _MALFORMED),
+        (lambda data: data["reports"].reverse(), _MALFORMED),
+        # a well-formed header whose matrix is no intersection form
+        (lambda data: data["manifold"].update(matrix=[[2]]), "malformed catalog: manifold 'CP2'"),
+        (
+            lambda data: data.update(
+                manifold={**data["manifold"], "matrix": [[0, 1], [2, 0]]},
+                max_abs=0,
+                reports=data["reports"][:1],
+            ),
+            "malformed catalog: manifold 'CP2'",
+        ),
     ],
     ids=[
         "characteristic-no", "b2-1.7", "b2-1.0", "class-true", "characteristic-1",
         "exists-flipped", "ks-false", "matrix-true", "ks-infinite", "one-report", "reversed",
+        "matrix-not-unimodular", "matrix-not-symmetric",
     ],
 )
-def test_tampered_catalog_is_a_parse_error(tamper):
-    data = in_memory_catalog(cli.parse_manifold_spec("CP2"), 1).to_json_dict()
+def test_tampered_catalog_is_a_parse_error(tamper, message):
+    data = cp2_document()
     assert data["reports"][0]["exists"] == "Yes"
     tamper(data)
-    with pytest.raises(ParseError, match="malformed catalog"):
+    with pytest.raises(ParseError, match=message):
         cli.CatalogFile.from_json_text(json.dumps(data, indent=2))
 
 
@@ -849,7 +916,7 @@ def test_short_catalog_claiming_a_huge_box_fails_without_enumerating(monkeypatch
         raise AssertionError("the box was enumerated")
 
     monkeypatch.setattr(classifier, "enumerate_representable", enumerate_representable)
-    data = in_memory_catalog(cli.parse_manifold_spec("CP2"), 1).to_json_dict()
+    data = cp2_document()
     data["manifold"] = cli.parse_manifold_spec("E8").to_json_dict()
     data["max_abs"] = 1000
     start = time.perf_counter()
@@ -875,7 +942,7 @@ def test_rank_zero_catalog_reads_back_byte_for_byte(tmp_path, capsys, max_abs):
 
 
 def test_reading_a_catalog_leaves_the_collector_as_it_was():
-    text = in_memory_catalog(cli.parse_manifold_spec("H"), 1).to_json_text()
+    text = in_memory_catalog(cli.parse_manifold_spec("H"), 1)[0]
     assert gc.isenabled()
     cli.CatalogFile.from_json_text(text)
     assert gc.isenabled()
@@ -891,12 +958,14 @@ def test_reading_a_catalog_leaves_the_collector_as_it_was():
 
 
 def test_catalog_reads_back_in_any_whitespace_layout():
-    catalog = in_memory_catalog(cli.parse_manifold_spec("H"), 1)
-    data = catalog.to_json_dict()
+    spec = cli.parse_manifold_spec("H")
+    expected, reports = in_memory_catalog(spec, 1)
+    data = json.loads(expected)
     for text in (json.dumps(data), json.dumps(data, indent="\t", separators=(" , ", " : "))):
         read = cli.CatalogFile.from_json_text(text)
-        assert read == catalog
-        assert read.to_json_text() == catalog.to_json_text()
+        assert read == cli.CatalogFile(spec, 1, __version__, STAMP)
+        assert read.reports == reports
+        assert read.to_json_text() == expected
 
 
 def test_parser_fuzz_raises_only_parse_errors():

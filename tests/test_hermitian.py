@@ -455,6 +455,58 @@ def test_search_disproven_by_augmentation_matches_integer_isometry():
     assert integer_verdict.verdict == intlattice.ISO_NO
 
 
+@pytest.mark.parametrize(
+    "ring, q0, q1, reason",
+    [
+        # the benchmark's L.I++--.vs-I4.aug-signature: determinants 1 and 1
+        (
+            L,
+            block_diag(*[((v,),) for v in (1, 1, -1, -1)]),
+            intlattice.identity_matrix(4),
+            "signature 0 != 4",
+        ),
+        # the benchmark's Z3.odd-vs-H.aug-parity: determinants -1 and -1, signatures 0
+        (CyclicRing(3), ((1, 1), (1, 0)), H_MATRIX, "parity differs"),
+    ],
+    ids=["signature", "parity"],
+)
+def test_augmented_signature_and_parity_refute_without_search(ring, q0, q1, reason):
+    out = congruence_search(extend_integer_form(q0, ring), extend_integer_form(q1, ring))
+    assert out == hermitian.CongruenceOutcome(
+        hermitian.SEARCH_DISPROVEN,
+        reason=f"augmented forms are not isometric over Z: {reason}",
+        nodes_explored=0,
+    )
+
+
+@pytest.mark.parametrize("ring, nodes, capped_nodes", [(Z2, 11, 16), (L, 23, 38)], ids=str)
+def test_growth_limit_prunes_children_and_the_search_still_finds(
+    monkeypatch, ring, nodes, capped_nodes
+):
+    # P = [[1, 2], [0, 1]] carries I2 to [[5, 2], [2, 1]].  With every
+    # coefficient capped at 1 the search drops children outside the cap,
+    # and meets at more nodes; the cap bounds each side's matrix, not the
+    # witness Q^-1 P, whose entry 2 is a product of the two sides.
+    form0 = extend_integer_form(intlattice.identity_matrix(2), ring)
+    form1 = extend_integer_form(((5, 2), (2, 1)), ring)
+    row_ok = type(ring).row_ok
+    checks = []
+
+    def recorded(row, coeff_limit, exp_limit):
+        checks.append(row_ok(row, coeff_limit, exp_limit))
+        return checks[-1]
+
+    monkeypatch.setattr(type(ring), "row_ok", staticmethod(recorded))
+    assert congruence_search(form0, form1).nodes_explored == nodes
+    assert checks and all(checks)
+    checks.clear()
+    monkeypatch.setattr(hermitian, "COEFF_LIMIT", 1)
+    out = congruence_search(form0, form1)
+    assert (out.status, out.nodes_explored) == (hermitian.SEARCH_FOUND, capped_nodes)
+    assert verify_congruence(out.witness, form0, form1)
+    assert not all(checks)
+
+
 def test_definite_determinant_twist_is_refuted_without_integer_isometry(monkeypatch):
     # like the benchmark's L.I3.definite-a: the augmentations are I3 and a
     # changed basis of it, so only the determinant class refutes the pair,
