@@ -3,8 +3,8 @@
 JSON output is the stable contract; the table format is for humans and
 may change.  A catalog is a function of its header, ``CatalogFile``, and
 ``write_catalog`` is its one renderer: it streams the catalog a plane of the
-box at a time, rendering each distinct plane once and keeping no report, so
-memory stays flat however large the box and however long its rows.
+box at a time, splicing repeated planes from a bounded cache and keeping no
+report, so memory stays flat however large the box and however long its rows.
 ``CatalogFile.from_json_text`` accepts only the catalog of the file's own
 header.  Matrix and class literals are JSON arrays of integers.  A
 hermitian-form literal is a JSON array of polynomial entries, bare or
@@ -25,8 +25,8 @@ import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cached_property, lru_cache
-from itertools import chain, islice
+from functools import cache, cached_property, lru_cache
+from itertools import chain, islice, starmap
 from operator import eq, itemgetter
 
 from . import __version__, classifier, hermitian, intlattice
@@ -351,31 +351,10 @@ def build_catalog(spec: ManifoldSpec, max_abs: int) -> CatalogFile:
     )
 
 
-#: The most reports per write of a streamed catalog, the most report bodies
-#: it keeps rendered, and the most classes of the planes it keeps rendered.
+#: The one bound of ``write_catalog``: the most reports per write, the most
+#: report bodies its body cache holds, and the most classes of the planes its
+#: LRU plane cache holds; a larger plane is written in slices of this size.
 CHUNK_REPORTS = 4096
-
-
-class _ReportBodies(dict):
-    """(report text after the class, representable, unique) per key.
-
-    A missing (divisibility, x.x, characteristic) key is rendered on lookup.
-    """
-
-    def __init__(self, manifold: FourManifold):
-        super().__init__()
-        self.manifold = manifold
-
-    def __missing__(self, key) -> tuple[str, bool, bool]:
-        report = classifier.report_from_invariants(self.manifold, (), *key)
-        data = report.to_json_dict()
-        del data["class"]
-        entry = self[key] = (
-            "    " + json.dumps(data, indent=2)[2:].replace("\n", "\n    "),
-            report.exists in (classifier.EXISTS_YES, classifier.EXISTS_BY_DEFINITION),
-            report.uniqueness == classifier.UNIQUE_ISOTOPY,
-        )
-        return entry
 
 
 def write_catalog(fh, catalog: CatalogFile, manifold: FourManifold) -> tuple[int, int, int]:
@@ -386,47 +365,62 @@ def write_catalog(fh, catalog: CatalogFile, manifold: FourManifold) -> tuple[int
     the header's spec.  The text around the reports is the header dict's,
     indented by two, and no report is kept.  Each plane of ``classifier.Box``
     is one ``join`` of its head's text and each class's tail (the coordinates
-    after the head) and body (the rest, per key from a cache local to the
-    call).  Tails, bodies and counts depend only on the plane's signature, so
-    they are rendered once per signature: a repeated plane costs one ``join``
-    and three additions.  Both caches are emptied before they would hold
-    more than ``CHUNK_REPORTS`` bodies or classes, and a larger plane is
-    written in slices of at most that many classes without being kept, so
-    memory stays flat however large the box and however long its rows.
+    after the head) and body (the rest, rendered per (divisibility, x.x,
+    characteristic) key).  Tails, bodies and counts depend only on the
+    plane's signature, so a cached plane costs one ``join`` and three
+    additions.  Both caches are ``functools`` caches local to the call and
+    bounded by ``CHUNK_REPORTS``: the bodies are dropped all at once before
+    a slice would take them past it, and the least recently used planes are
+    dropped to keep at most that many classes.  A larger plane is written in
+    slices of at most that many classes without being kept, so memory stays
+    flat however large the box and however long its rows.
     """
     box = classifier.Box(manifold, catalog.max_abs)
     head, tail = json.dumps(catalog._header(), indent=2).rsplit('"reports": []', 1)
     fh.write(head + '"reports": [\n')
     if manifold.b2:
         class_open, class_sep, class_close = '    {\n      "class": [\n        ', ",\n        ", "\n      ],\n"
-        run = box.run
+        run, row = box.run, 2 * catalog.max_abs + 1  # len(run) overflows on a huge box
     else:
         class_open, class_sep, class_close = '    {\n      "class": [', "", "],\n"
-        run = ("",)  # the one class of rank 0 has no last coordinate
-    plane_classes = len(run) ** min(manifold.b2, 2)
-    starts = range(0, len(run), CHUNK_REPORTS)
-    # the tails of the last coordinate for the slice of a row starting at i
-    tails_of = lru_cache(1)(lambda i: [f"{t}{class_close}" for t in run[i : i + CHUNK_REPORTS]])
-    bodies = _ReportBodies(manifold)
+        run, row = ("",), 1  # the one class of rank 0 has no last coordinate
+    plane_classes = row ** min(manifold.b2, 2)
+
+    @cache
+    def body(d: int, xx: int, characteristic: bool) -> tuple[str, bool, bool]:
+        """(report text after the class, representable, unique) of the key."""
+        report = classifier.report_from_invariants(manifold, (), d, xx, characteristic)
+        data = report.to_json_dict()
+        del data["class"]
+        return (
+            "    " + json.dumps(data, indent=2)[2:].replace("\n", "\n    "),
+            report.exists in (classifier.EXISTS_YES, classifier.EXISTS_BY_DEFINITION),
+            report.uniqueness == classifier.UNIQUE_ISOTOPY,
+        )
 
     def render(signature):
         """The plane's (tails, bodies, representable, unique) in slices of at most CHUNK_REPORTS."""
         tails, slice_bodies, representable, unique = [], [], 0, 0
         for lead, keys in box.rows(signature):
             lead = "".join([f"{v}{class_sep}" for v in lead])
-            for i in starts:
+            for i in range(0, row, CHUNK_REPORTS):
                 part = list(islice(keys, CHUNK_REPORTS))
                 if len(slice_bodies) + len(part) > CHUNK_REPORTS:
                     yield tails, slice_bodies, representable, unique
                     tails, slice_bodies, representable, unique = [], [], 0, 0
-                if len(bodies) + len(part) > CHUNK_REPORTS:
-                    bodies.clear()
-                entries = list(map(bodies.__getitem__, part))
-                tails += [lead + t for t in tails_of(i)] if lead else tails_of(i)
+                if body.cache_info().currsize + len(part) > CHUNK_REPORTS:
+                    body.cache_clear()
+                entries = list(starmap(body, part))
+                tails += [f"{lead}{t}{class_close}" for t in run[i : i + CHUNK_REPORTS]]
                 slice_bodies += map(itemgetter(0), entries)
                 representable += sum(map(itemgetter(1), entries))
                 unique += sum(map(itemgetter(2), entries))
         yield tails, slice_bodies, representable, unique
+
+    if plane_classes <= CHUNK_REPORTS:  # keep the most recently used planes that fit
+        slices_of = lru_cache(CHUNK_REPORTS // plane_classes)(lambda sig: tuple(render(sig)))
+    else:
+        slices_of = render
 
     # written when the next plane or slice would take it past CHUNK_REPORTS classes
     texts = []
@@ -439,20 +433,10 @@ def write_catalog(fh, catalog: CatalogFile, manifold: FourManifold) -> tuple[int
         fh.write(chunk)
         cut = 0
 
-    planes = {}
-    cached = classes = representable = unique = pending = 0
+    classes = representable = unique = pending = 0
     for coords, signature in box.planes():
-        slices = planes.get(signature)
-        if slices is None:
-            slices = render(signature)
-            if plane_classes <= CHUNK_REPORTS:
-                if cached + plane_classes > CHUNK_REPORTS:
-                    planes.clear()
-                    cached = 0
-                slices = planes[signature] = tuple(slices)
-                cached += plane_classes
         head_text = ",\n" + class_open + "".join([f"{v}{class_sep}" for v in coords])
-        for tails, slice_bodies, r, u in slices:
+        for tails, slice_bodies, r, u in slices_of(signature):
             n = len(slice_bodies)
             if pending + n > CHUNK_REPORTS:
                 flush()

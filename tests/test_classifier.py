@@ -47,6 +47,7 @@ L = LaurentRing()
 def test_fourmanifold_caches_invariants():
     assert CP2.b2 == 1 and CP2.sigma == 1
     assert S2XS2_2.b2 == 4 and S2XS2_2.sigma == 0
+    assert FourManifold(((1,),)) == CP2
     with pytest.raises(ValueError):
         FourManifold(IntersectionForm([[1]]), 2)
 

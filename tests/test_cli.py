@@ -331,9 +331,14 @@ def _run_into_closed_pipe(*argv):
 
 
 def test_enumerate_to_a_closed_pipe_exits_without_traceback():
-    code, err = _run_into_closed_pipe("enumerate", "--manifold", "H#H#H", "--max-abs", "2")
-    assert code == 1
-    assert err.startswith("error:") and "Traceback" not in err
+    # at --max-abs 2^62 a row holds 2^63 + 1 classes, more than len() of a
+    # range can count, and the writer must still stream it
+    for manifold, max_abs in (("H#H#H", 2), ("CP2", 2**62), ("H#H", 2**62)):
+        code, err = _run_into_closed_pipe(
+            "enumerate", "--manifold", manifold, "--max-abs", str(max_abs)
+        )
+        assert code == 1, (manifold, err)
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), (manifold, err)
 
 
 def test_form_extend_to_a_closed_pipe_exits_without_traceback():
@@ -478,6 +483,32 @@ def test_streamed_catalog_is_independent_of_the_chunk_size(monkeypatch, chunk):
     for manifold, max_abs in (("CP2", 4), ("H#H", 2), ("H#H#H", 2), ("E8", 1), ("diag()", 1)):
         spec = cli.parse_manifold_spec(manifold)
         assert streamed(spec, max_abs) == cached_in_memory_text(manifold, max_abs)
+
+
+@pytest.mark.parametrize(
+    "manifold, max_abs, chunk, renders",
+    [("H#H#H", 2, 250, 62), ("E8", 1, 180, 444)],
+)
+def test_streamed_catalog_keeps_the_most_recently_used_planes(
+    monkeypatch, manifold, max_abs, chunk, renders
+):
+    # the planes of a box come back in runs: H#H#H at box 2 has 625 planes
+    # of 25 classes with 19 signatures, E8 at box 1 has 729 planes of 9 with
+    # 69, and a cache of 10 or 20 planes keeps the recent ones; dropping all
+    # of them when it is full rendered 188 and 601 planes
+    rows = classifier.Box.rows
+    calls = []
+
+    def counted(box, signature):
+        calls.append(signature)
+        return rows(box, signature)
+
+    monkeypatch.setattr(classifier.Box, "rows", counted)
+    monkeypatch.setattr(cli, "CHUNK_REPORTS", chunk)
+    assert streamed(cli.parse_manifold_spec(manifold), max_abs) == cached_in_memory_text(
+        manifold, max_abs
+    )
+    assert len(calls) == renders
 
 
 def peak_of_streamed_catalogs(manifold, max_abs_values):
@@ -883,6 +914,7 @@ _MALFORMED = "malformed catalog"
         (_set("exists", "No", report=0), _MALFORMED),
         (_set("ks", False, report=1), _MALFORMED),
         (lambda data: data["manifold"].update(matrix=[[True]]), _MALFORMED),
+        (lambda data: data["manifold"].update(matrix=[[1, 0], [0]]), _MALFORMED),
         (lambda data: data["manifold"].update(ks=float("inf")), _MALFORMED),
         (lambda data: data.update(reports=data["reports"][:1]), _MALFORMED),
         (lambda data: data["reports"].reverse(), _MALFORMED),
@@ -899,8 +931,8 @@ _MALFORMED = "malformed catalog"
     ],
     ids=[
         "characteristic-no", "b2-1.7", "b2-1.0", "class-true", "characteristic-1",
-        "exists-flipped", "ks-false", "matrix-true", "ks-infinite", "one-report", "reversed",
-        "matrix-not-unimodular", "matrix-not-symmetric",
+        "exists-flipped", "ks-false", "matrix-true", "matrix-ragged", "ks-infinite",
+        "one-report", "reversed", "matrix-not-unimodular", "matrix-not-symmetric",
     ],
 )
 def test_tampered_catalog_is_a_parse_error(tamper, message):

@@ -175,7 +175,12 @@ def test_int_operands_are_constants_and_others_are_refused(u):
     with pytest.raises(TypeError):
         u + "x"
     with pytest.raises(TypeError):
+        u - "x"
+    with pytest.raises(TypeError):
+        "x" - u
+    with pytest.raises(TypeError):
         u * 1.5
+    assert bool(u.ring.zero()) is False and bool(u.ring.one()) is True
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +263,10 @@ def test_ring_descriptors():
         z2.coerce(CyclicRing(3).one())
     with pytest.raises(RingMismatch):
         LaurentRing().coerce(CyclicRing(2).one())
+    with pytest.raises(ValueError, match="positive"):
+        CyclicRing(0)
+    with pytest.raises(ValueError, match="expected 3 coefficients"):
+        GroupRingElem(3, (1, 2))
 
 
 def test_trivial_ring_order_one():

@@ -54,6 +54,8 @@ def test_hermitian_constructor_rejects_nonhermitian():
     t = L.monomial(1)
     with pytest.raises(ValueError, match="hermitian"):
         HermitianForm(L, ((L.zero(), t), (t, L.zero())))
+    with pytest.raises(DimensionMismatch, match="not square"):
+        HermitianForm(L, ((L.zero(), t), (t,)))
 
 
 def test_hermitian_allows_conjugate_pairs():

@@ -43,6 +43,15 @@ def test_intersection_form_rejects_nonunimodular():
         IntersectionForm([[2]])
 
 
+def test_ragged_and_mismatched_matrices_raise():
+    with pytest.raises(DimensionMismatch, match="not square"):
+        IntersectionForm([[1, 0], [0]])
+    with pytest.raises(DimensionMismatch):
+        mat_mul(HH, H_MATRIX)
+    with pytest.raises(DimensionMismatch):
+        intlattice.mat_vec(HH, (1, 0))
+
+
 def test_builtin_matrices_are_unimodular():
     assert integer_det(E8_MATRIX) == 1
     assert integer_det(H_MATRIX) == -1
