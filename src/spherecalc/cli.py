@@ -2,16 +2,16 @@
 
 JSON output is the stable contract; the table format is for humans and
 may change.  A catalog is a function of its header, ``CatalogFile``, and
-``write_catalog`` is its one renderer: it streams the catalog a plane of the
-box at a time, splicing repeated planes from a bounded cache and keeping no
-report, so memory stays flat however large the box and however long its rows.
-``CatalogFile.from_json_text`` accepts only the catalog of the file's own
-header.  Matrix and class literals are JSON arrays of integers.  A
-hermitian-form literal is a JSON array of polynomial entries, bare or
-quoted, each read by ``parse_poly``: integer coefficients and powers of
-``T`` (cyclic rings) or ``t``, with ``t^-2``-style negative exponents
-(Laurent ring).  ``form congruent``'s ``--budget`` bounds the nodes of the
-congruence search and defaults to ``hermitian.DEFAULT_BUDGET``.
+``write_catalog`` is its one renderer: it streams the runs of
+``_report_chunks``, which splices repeated planes of the box from a bounded
+cache and keeps no report, so memory stays flat however large the box.
+``CatalogFile.from_json_text`` compares a file with the same runs, so it
+accepts only the catalog of its own header.  Matrix and class literals are
+JSON arrays of integers.  A hermitian-form literal is a JSON array of
+polynomial entries, bare or quoted, each read by ``parse_poly``: integer
+coefficients and powers of ``T`` (cyclic rings) or ``t``, with ``t^-2``-style
+negative exponents (Laurent ring).  ``form congruent``'s ``--budget`` bounds
+the nodes of the congruence search and defaults to ``hermitian.DEFAULT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from itertools import chain, islice, starmap
-from operator import eq, itemgetter
+from operator import itemgetter
 
 from . import __version__, classifier, hermitian, intlattice
 from .classifier import FourManifold, SphereClassReport
@@ -232,18 +232,15 @@ def parse_manifold_spec(text: str, ks: int = 0) -> ManifoldSpec:
 class CatalogFile:
     """A catalog's header; its reports are fixed by the manifold and ``max_abs``.
 
-    No report is stored: ``reports`` classifies the box on first use, and
-    ``to_json_text`` streams the text through ``write_catalog``.
+    No report is stored: ``to_json_text`` streams the text through
+    ``write_catalog``, and ``from_json_text`` compares a file with the runs
+    of ``_report_chunks`` that it writes.
     """
 
     manifold: ManifoldSpec
     max_abs: int
     tool_version: str
     generated_at: str
-
-    @cached_property
-    def reports(self) -> tuple[SphereClassReport, ...]:
-        return tuple(classifier.enumerate_representable(self.manifold.manifold(), self.max_abs))
 
     def _header(self) -> dict:
         """The document without its reports, as ``write_catalog`` writes it."""
@@ -267,16 +264,16 @@ class CatalogFile:
 
         After a check that costs O(len(text)) -- ``max_abs`` is a
         nonnegative integer, at most len(reports) when b2 >= 1, and there
-        are (2 max_abs + 1)^b2 reports -- ``classifier.enumerate_representable``
-        rebuilds the reports.  The document must hold the values of the
-        header and of each rebuilt report, with their types; only whitespace
-        and key order may differ.  The header it checked is returned, and the
-        rebuilt reports are dropped, so no value of the file reaches the
-        program and the read keeps no report.
+        are (2 max_abs + 1)^b2 reports -- the reports are compared, a run at
+        a time, with the decoded runs of ``_report_chunks``, which
+        ``write_catalog`` writes.  The document must hold the values of the
+        header and of each report, with their types; only whitespace and key
+        order may differ.  The header it checked is returned, so no value of
+        the file reaches the program.
         """
-        # The decoded document and the rebuilt reports are millions of
-        # containers without cycles, and the cyclic collector would traverse
-        # them again and again as they grow: a third of the read time.
+        # The decoded document is millions of containers without cycles,
+        # and the cyclic collector would traverse them again and again as
+        # it grows and as each run is decoded: ~40% of the read time.
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -322,10 +319,11 @@ class CatalogFile:
             manifold = spec.manifold()
         except ValueError as exc:
             raise ParseError(f"malformed catalog: {exc}") from exc
-        rebuilt = classifier.enumerate_representable(manifold, max_abs)
-        expected = map(SphereClassReport.to_json_dict, rebuilt)
-        if not all(map(eq, reports, expected)) or not _numbers_typed(reports):
-            raise ParseError("malformed catalog: the reports are not those of its header")
+        given = iter(reports)
+        for text, n, _, _ in _report_chunks(header, manifold):
+            got = list(islice(given, n))
+            if got != json.loads(f"[{text}]") or not _numbers_typed(got):
+                raise ParseError("malformed catalog: the reports are not those of its header")
         return header
 
 
@@ -362,22 +360,38 @@ def write_catalog(fh, catalog: CatalogFile, manifold: FourManifold) -> tuple[int
 
     The one catalog renderer: ``enumerate`` and ``CatalogFile.to_json_text``
     write through it, and ``manifold`` is the caller's ``FourManifold`` of
-    the header's spec.  The text around the reports is the header dict's,
-    indented by two, and no report is kept.  Each plane of ``classifier.Box``
-    is one ``join`` of its head's text and each class's tail (the coordinates
-    after the head) and body (the rest, rendered per (divisibility, x.x,
-    characteristic) key).  Tails, bodies and counts depend only on the
-    plane's signature, so a cached plane costs one ``join`` and three
-    additions.  Both caches are ``functools`` caches local to the call and
-    bounded by ``CHUNK_REPORTS``: the bodies are dropped all at once before
-    a slice would take them past it, and the least recently used planes are
-    dropped to keep at most that many classes.  A larger plane is written in
-    slices of at most that many classes without being kept, so memory stays
-    flat however large the box and however long its rows.
+    the header's spec.  It writes the header dict's text, indented by two,
+    around the runs of ``_report_chunks``, each dropped before the next is
+    rendered, so memory stays flat however large the box and its rows.
     """
-    box = classifier.Box(manifold, catalog.max_abs)
     head, tail = json.dumps(catalog._header(), indent=2).rsplit('"reports": []', 1)
     fh.write(head + '"reports": [\n')
+    classes = representable = unique = 0
+    for text, n, r, u in _report_chunks(catalog, manifold):
+        fh.write(",\n" if classes else "")
+        fh.write(text)
+        del text  # or it stays alive while the next run renders
+        classes, representable, unique = classes + n, representable + r, unique + u
+    fh.write("\n  ]" + tail + "\n")
+    return classes, representable, unique
+
+
+def _report_chunks(catalog: CatalogFile, manifold: FourManifold):
+    """Yield (text, classes, representable, unique) per run of the catalog's reports.
+
+    A run holds at most ``CHUNK_REPORTS`` reports; ``text`` is their text as
+    the catalog indents it, joined by ``",\n"``, with no separator before the
+    first.  Each plane of ``classifier.Box`` is one ``join`` of its head's
+    text and each class's tail (the coordinates after the head) and body
+    (the rest, rendered per (divisibility, x.x, characteristic) key).  Tails,
+    bodies and counts depend only on the plane's signature, so a cached plane
+    costs one ``join`` and three additions.  Both caches are ``functools``
+    caches local to the call and bounded by ``CHUNK_REPORTS``: the bodies are
+    dropped all at once before a slice would take them past it, and the least
+    recently used planes are dropped to keep at most that many classes.  A
+    larger plane is rendered in slices of that many classes, and not kept.
+    """
+    box = classifier.Box(manifold, catalog.max_abs)
     if manifold.b2:
         class_open, class_sep, class_close = '    {\n      "class": [\n        ', ",\n        ", "\n      ],\n"
         run, row = box.run, 2 * catalog.max_abs + 1  # len(run) overflows on a huge box
@@ -422,36 +436,22 @@ def write_catalog(fh, catalog: CatalogFile, manifold: FourManifold) -> tuple[int
     else:
         slices_of = render
 
-    # written when the next plane or slice would take it past CHUNK_REPORTS classes
-    texts = []
-    cut = 2  # the text of every class starts with ",\n", but the first report does not
-
-    def flush() -> None:
-        nonlocal cut
-        chunk = "".join(texts)[cut:]
-        texts.clear()
-        fh.write(chunk)
-        cut = 0
-
-    classes = representable = unique = pending = 0
+    pieces, classes, representable, unique = [], 0, 0, 0
     for coords, signature in box.planes():
         head_text = ",\n" + class_open + "".join([f"{v}{class_sep}" for v in coords])
         for tails, slice_bodies, r, u in slices_of(signature):
             n = len(slice_bodies)
-            if pending + n > CHUNK_REPORTS:
-                flush()
-                pending = 0
-            pieces = [head_text] * (3 * n)
-            pieces[1::3] = tails
-            pieces[2::3] = slice_bodies
-            texts.append("".join(pieces))
-            classes += n
-            representable += r
-            unique += u
-            pending += n
-    flush()
-    fh.write("\n  ]" + tail + "\n")
-    return classes, representable, unique
+            if classes + n > CHUNK_REPORTS:
+                yield "".join(pieces), classes, representable, unique
+                pieces, classes, representable, unique = [], 0, 0, 0
+            plane = [head_text] * (3 * n)
+            plane[1::3] = tails
+            plane[2::3] = slice_bodies
+            if not classes:  # a run's first report has no separator
+                plane[0] = head_text[2:]
+            pieces.append("".join(plane))
+            classes, representable, unique = classes + n, representable + r, unique + u
+    yield "".join(pieces), classes, representable, unique
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +498,7 @@ def cmd_enumerate(args) -> int:
         raise ParseError("--max-abs must be nonnegative")
     manifold = spec.manifold()
     catalog = build_catalog(spec, args.max_abs)
-    if not args.out:
+    if args.out is None:
         counts = write_catalog(sys.stdout, catalog, manifold)
         sys.stdout.flush()  # a closed pipe fails here, before the summary
         print(_summary(*counts), file=sys.stderr)

@@ -32,6 +32,11 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def reports_of(catalog):
+    """The reports of a catalog header, classified anew."""
+    return tuple(classifier.enumerate_representable(catalog.manifold.manifold(), catalog.max_abs))
+
+
 # ---------------------------------------------------------------------------
 # literal parsing
 
@@ -228,7 +233,7 @@ def test_enumerate_writes_catalog(tmp_path, capsys):
     text = out_path.read_text(encoding="utf-8")
     catalog = cli.CatalogFile.from_json_text(text)
     assert catalog.max_abs == 4
-    assert len(catalog.reports) == 9
+    assert len(reports_of(catalog)) == 9
     # byte-stable round trip
     assert catalog.to_json_text() == text
 
@@ -250,7 +255,7 @@ def test_enumerate_reports_are_sorted(tmp_path, capsys):
     )
     assert code == 0
     catalog = cli.CatalogFile.from_json_text(out_path.read_text(encoding="utf-8"))
-    classes = [r.x for r in catalog.reports]
+    classes = [r.x for r in reports_of(catalog)]
     assert classes == sorted(classes)
     assert len(classes) == 81
 
@@ -275,7 +280,7 @@ def test_enumerate_two_hyperbolics_counts_match_predicate(tmp_path, capsys):
     assert f"representable: {expected}" in out
     catalog = cli.CatalogFile.from_json_text(out_path.read_text(encoding="utf-8"))
     got = sum(
-        1 for r in catalog.reports if r.exists in ("Yes", "YesByDefinition")
+        1 for r in reports_of(catalog) if r.exists in ("Yes", "YesByDefinition")
     )
     assert got == expected
 
@@ -299,6 +304,14 @@ def test_enumerate_out_in_a_missing_directory_is_input_error(tmp_path, capsys, m
     assert err.startswith("error:") and "--out" in err
     assert out == ""
     assert not out_path.parent.exists()
+
+
+def test_enumerate_out_empty_is_input_error(capsys):
+    # an empty --out names no file that can be opened; it is not standard output
+    code, out, err = run(capsys, "enumerate", "--manifold", "CP2", "--max-abs", "1", "--out", "")
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write --out '':")
+    assert out == ""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
@@ -440,7 +453,7 @@ def test_streamed_catalog_equals_the_in_memory_catalog(manifold, ks, max_abs):
     assert streamed(spec, max_abs) == (text, summary_counts(reports))
     catalog = cli.CatalogFile(spec, max_abs, __version__, STAMP)
     assert catalog.to_json_text() == text
-    assert catalog.reports == reports
+    assert reports_of(catalog) == reports
 
 
 def test_serialising_a_catalog_renders_each_report_body_once(monkeypatch):
@@ -566,7 +579,7 @@ def test_enumerate_command_streams_the_in_memory_catalog(tmp_path, capsys, to_fi
     assert summary == (
         f"classes: {classes}  representable: {representable}  unique-isotopy: {unique}"
     )
-    assert cli.build_catalog(spec, 1).reports == reports
+    assert reports_of(cli.build_catalog(spec, 1)) == reports
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +731,13 @@ _ID2 = "[[1,0],[0,1]]"
         (["build-equivariant", "--q", _SWAP, "--t", _SWAP, "--basis", "[1,0]"], 2, "basis"),
         (["build-equivariant", "--q", _ID2, "--t", _SWAP, "--basis", "[[2,0]]"], 1, "index 4"),
         (["build-equivariant", "--q", _ID2, "--t", _SWAP, "--basis", "[[2,1]]"], 1, "index 3"),
+        # a Lorentz boost of diag(1, 1, -1): it preserves the form and has infinite order
+        (
+            ["build-equivariant", "--q", "[[1,0,0],[0,1,0],[0,0,-1]]",
+             "--t", "[[1,2,2],[2,1,2],[2,2,3]]", "--basis", "[[1,0,0]]"],
+            1,
+            "action has no order up to 4096",
+        ),
         (["augment", "--ring", "Z4", "--a", "[[1 2, 0],[0, 1]]"], 2, "cannot parse term '2'"),
         (["augment", "--ring", "Z4", "--a", "[[*t + *t^-1]]"], 2, "cannot parse term"),
         (["augment", "--ring", "Z4", "--a", "[[1 0 t]]"], 2, "cannot parse term '0 t'"),
@@ -725,7 +745,7 @@ _ID2 = "[[1,0],[0,1]]"
     ids=[
         "congruent-a", "congruent-b", "nonsingular", "augment", "extend",
         "equivariant-q", "equivariant-t", "basis-json", "basis-entry", "basis-flat",
-        "basis-index-4", "basis-index-3",
+        "basis-index-4", "basis-index-3", "equivariant-infinite-order",
         "adjacent-numbers", "star-without-coefficient", "three-numbers",
     ],
 )
@@ -943,11 +963,32 @@ def test_tampered_catalog_is_a_parse_error(tamper, message):
         cli.CatalogFile.from_json_text(json.dumps(data, indent=2))
 
 
+@pytest.mark.parametrize("chunk", [1, 8, 25])
+@pytest.mark.parametrize("manifold", ["H#H#H", "E8"])
+def test_catalog_is_read_a_run_at_a_time(monkeypatch, manifold, chunk):
+    # both boxes have planes of 9 classes, so runs of at most 1, 8 or 25
+    # reports end inside planes, between rows, and after whole planes
+    monkeypatch.setattr(cli, "CHUNK_REPORTS", chunk)
+    catalog = cli.CatalogFile(cli.parse_manifold_spec(manifold), 1, __version__, STAMP)
+    text = catalog.to_json_text()
+    read = cli.CatalogFile.from_json_text(text)
+    assert read == catalog and read.to_json_text() == text
+    first = next(cli._report_chunks(catalog, catalog.manifold.manifold()))[1]
+    for tamper in (
+        lambda reports: reports[-1].update(b2=9),  # in the last run
+        lambda reports: reports.insert(first, reports.pop(first - 1)),  # across the first cut
+    ):
+        data = json.loads(text)
+        tamper(data["reports"])
+        with pytest.raises(ParseError, match="malformed catalog"):
+            cli.CatalogFile.from_json_text(json.dumps(data))
+
+
 def test_short_catalog_claiming_a_huge_box_fails_without_enumerating(monkeypatch):
-    def enumerate_representable(*args):
+    def report_chunks(*args):
         raise AssertionError("the box was enumerated")
 
-    monkeypatch.setattr(classifier, "enumerate_representable", enumerate_representable)
+    monkeypatch.setattr(cli, "_report_chunks", report_chunks)
     data = cp2_document()
     data["manifold"] = cli.parse_manifold_spec("E8").to_json_dict()
     data["max_abs"] = 1000
@@ -969,7 +1010,7 @@ def test_rank_zero_catalog_reads_back_byte_for_byte(tmp_path, capsys, max_abs):
     assert code == 0, err
     text = out_path.read_text(encoding="utf-8")
     catalog = cli.CatalogFile.from_json_text(text)
-    assert (catalog.max_abs, len(catalog.reports)) == (max_abs, 1)
+    assert (catalog.max_abs, len(reports_of(catalog))) == (max_abs, 1)
     assert catalog.to_json_text() == text
 
 
@@ -996,7 +1037,7 @@ def test_catalog_reads_back_in_any_whitespace_layout():
     for text in (json.dumps(data), json.dumps(data, indent="\t", separators=(" , ", " : "))):
         read = cli.CatalogFile.from_json_text(text)
         assert read == cli.CatalogFile(spec, 1, __version__, STAMP)
-        assert read.reports == reports
+        assert reports_of(read) == reports
         assert read.to_json_text() == expected
 
 

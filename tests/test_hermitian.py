@@ -141,6 +141,7 @@ def _oracle_mat_mul(a, b, ring):
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
 def test_matrix_helpers_match_the_oracles(ring):
     rng = random.Random(f"matrices:{ring}")
+    assert conj_transpose(()) == ()
     for m in range(1, 5):
         for _ in range(4):
             a, b = [
