@@ -272,19 +272,24 @@ class CatalogFile:
         the file reaches the program.
         """
         # The decoded document is millions of containers without cycles,
-        # and the cyclic collector would traverse them again and again as
-        # it grows and as each run is decoded: ~40% of the read time.
+        # which the collector would traverse again and again as it grows
+        # (~40% of the read time), so it is decoded with the collector off
+        # and then frozen out of its view (undoing a caller's gc.freeze()).
+        # The collector runs during the comparison: json's indenting encoder
+        # leaves a cycle per rendered body, 100 MB on a CP2 row of 40,001.
         collecting = gc.isenabled()
         gc.disable()
         try:
-            return cls._read(text)
+            data = _load_json(text, "catalog")
+            gc.freeze()
+            gc.enable()
+            return cls._read(data)
         finally:
-            if collecting:
-                gc.enable()
+            gc.unfreeze()
+            (gc.enable if collecting else gc.disable)()
 
     @classmethod
-    def _read(cls, text: str) -> "CatalogFile":
-        data = _load_json(text, "catalog")
+    def _read(cls, data) -> "CatalogFile":
         if not isinstance(data, dict):
             raise ParseError("a catalog must be a JSON object")
         if data.get("schema") != CATALOG_SCHEMA:
@@ -442,8 +447,10 @@ def _report_chunks(catalog: CatalogFile, manifold: FourManifold):
         for tails, slice_bodies, r, u in slices_of(signature):
             n = len(slice_bodies)
             if classes + n > CHUNK_REPORTS:
-                yield "".join(pieces), classes, representable, unique
-                pieces, classes, representable, unique = [], 0, 0, 0
+                text, pieces = "".join(pieces), []  # the pieces go before the run is written
+                yield text, classes, representable, unique
+                del text
+                classes, representable, unique = 0, 0, 0
             plane = [head_text] * (3 * n)
             plane[1::3] = tails
             plane[2::3] = slice_bodies
@@ -451,7 +458,8 @@ def _report_chunks(catalog: CatalogFile, manifold: FourManifold):
                 plane[0] = head_text[2:]
             pieces.append("".join(plane))
             classes, representable, unique = classes + n, representable + r, unique + u
-    yield "".join(pieces), classes, representable, unique
+    text, pieces = "".join(pieces), []
+    yield text, classes, representable, unique
 
 
 # ---------------------------------------------------------------------------
