@@ -1,23 +1,23 @@
 """Group-ring arithmetic with the involution T -> T^(-1).
 
 Two coefficient rings appear: the group ring of a finite cyclic group of
-order d (dense length-d coefficient vectors, index arithmetic mod d) and
-integer Laurent polynomials (sparse exponent -> coefficient maps).  Both
-are exact; unit detection never leaves integer arithmetic.
+order d and integer Laurent polynomials.  Both are exact; unit detection
+never leaves integer arithmetic.
 
-An element holds a packed payload: ``GroupRingElem.coeffs`` (a dense
-length-d tuple) or ``LaurentElem.terms`` (sorted (exponent, coefficient)
-pairs, no zeros).  Both are canonical, so payload equality is element
-equality.  Every rule that reads a payload lives on the ring descriptor,
-``CyclicRing`` or ``LaurentRing``: sum, product, negation, conjugate,
-augmentation, the printed and the JSON form, and the row rules of the
-congruence search in ``hermitian``, ``scale_row`` (by a monomial
-c * T^k passed as the pair (k, c)) and ``row_ok`` (the growth check);
-the search sums rows entrywise with ``add``.  The element operators are
-written once, on the base class of both element types, and each asks
-the element's descriptor ``ring`` for its rule.  Elements are built by
-their ring (``monomial``, ``from_int``, ``zero``, ``one``) or from their
-payload.
+Every computation runs on packed payloads, one format for both rings
+(defined on ``_RingDescriptor``), so a search over Z[Z_d] costs per
+nonzero coefficient, not per d.  Payloads are canonical, so payload
+equality is element equality.  Every rule that reads a payload lives on
+the ring descriptor, ``CyclicRing`` or ``LaurentRing``: sum, product,
+negation, conjugate, augmentation, the printed form, and the row rules
+of the congruence search in ``hermitian``, ``scale_row`` and ``row_ok``
+(the growth check); the search sums rows entrywise with ``add``.  The
+descriptor's ``pack`` and ``unpack`` convert at the boundary: a
+``GroupRingElem`` keeps its dense length-d ``coeffs``, a ``LaurentElem``
+its ``terms``.  The element operators are written once, on the base
+class of both element types, and each asks the element's descriptor
+``ring`` for its rule.  Elements are built by their ring (``monomial``,
+``from_int``, ``zero``, ``one``) or from their payload.
 
 >>> u = GroupRingElem(2, (1, 2))
 >>> str(u * u)
@@ -45,30 +45,24 @@ TRIVIAL_UNIT_ORDERS = frozenset({1, 2, 3, 4, 6})
 MAX_CYCLIC_ORDER = 4096
 
 
-def _format_terms(pairs, var: str) -> str:
-    parts = []
-    for e, c in pairs:
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            v = var if e == 1 else f"{var}^{e}"
-            body = v if mag == 1 else f"{mag}{v}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
-
-
 # ---------------------------------------------------------------------------
 # ring descriptors: constructors, coercion and every payload rule
 
 
 class _RingDescriptor:
-    """The constants and the coercion, shared by both descriptors."""
+    """The constants, the coercion and the payload rules both rings share.
+
+    A payload is a tuple of (exponent, coefficient) pairs sorted by
+    exponent, with no zero coefficient; the exponents lie in 0..d-1 over
+    Z[Z_d] and anywhere over the Laurent ring.  Sum, negation,
+    augmentation, truth and the printed form read it the same way in
+    both rings; the product, the conjugate and ``scale_row`` (by a
+    monomial c * T^k, passed as the one pair (k, c)) fold exponents mod d
+    over Z[Z_d], and ``row_ok`` checks a row against the growth limits.
+    """
+
+    def from_int(self, n: int):
+        return self.monomial(0, n)
 
     def zero(self):
         return self.from_int(0)
@@ -83,125 +77,6 @@ class _RingDescriptor:
         if isinstance(value, _RingElement) and value.ring == self:
             return value
         raise RingMismatch(f"cannot coerce {value!r} into {self}")
-
-
-@dataclass(frozen=True)
-class CyclicRing(_RingDescriptor):
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("group order must be positive")
-
-    def from_int(self, n: int):
-        return GroupRingElem(self.d, (int(n),) + (0,) * (self.d - 1))
-
-    def monomial(self, k: int, c: int = 1):
-        coeffs = [0] * self.d
-        coeffs[k % self.d] = int(c)
-        return GroupRingElem(self.d, tuple(coeffs))
-
-    @property
-    def units_fully_known(self) -> bool:
-        """Whether every unit of the ring is of the form +-T^k."""
-        return self.d in TRIVIAL_UNIT_ORDERS
-
-    def to_json(self) -> dict:
-        return {"kind": "cyclic", "d": self.d}
-
-    def __str__(self):
-        return f"Z[Z_{self.d}]"
-
-    # -- packed payloads: dense length-d coefficient tuples
-
-    pack = attrgetter("coeffs")
-
-    def unpack(self, x) -> GroupRingElem:
-        """The element with payload ``x``."""
-        return GroupRingElem(self.d, x)
-
-    @staticmethod
-    def element_to_json(value) -> list:
-        return list(value.coeffs)
-
-    @staticmethod
-    def add(x, y):
-        return tuple(map(int.__add__, x, y))
-
-    @staticmethod
-    def neg(x):
-        return tuple([-a for a in x])
-
-    @staticmethod
-    def mul(x, y):
-        d = len(x)
-        out = [0] * d
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    if b:
-                        out[(i + j) % d] += a * b
-        return tuple(out)
-
-    @staticmethod
-    def conj(x):
-        return x[:1] + x[:0:-1]
-
-    augment = staticmethod(sum)
-    nonzero = staticmethod(any)
-
-    @staticmethod
-    def format(x) -> str:
-        return _format_terms(enumerate(x), "T")
-
-    def scale_row(self, w, row):
-        """Each payload of ``row`` times the monomial w = (k, c)."""
-        k, c = w
-        s = self.d - k  # c * T^k moves the coefficient of T^i to T^(i+k)
-        if c == 1:
-            return tuple([x[s:] + x[:s] for x in row])
-        return tuple([tuple([c * a for a in x[s:] + x[:s]]) for x in row])
-
-    @staticmethod
-    def row_ok(row, coeff_limit: int, exp_limit: int) -> bool:
-        """Every coefficient within +-coeff_limit (exponents are bounded by d)."""
-        for x in row:
-            for c in x:
-                if c > coeff_limit or c < -coeff_limit:
-                    return False
-        return True
-
-
-@dataclass(frozen=True)
-class LaurentRing(_RingDescriptor):
-    def from_int(self, n: int):
-        return LaurentElem(((0, int(n)),))
-
-    def monomial(self, k: int, c: int = 1):
-        return LaurentElem(((int(k), int(c)),))
-
-    @property
-    def units_fully_known(self) -> bool:
-        return True
-
-    def to_json(self) -> dict:
-        return {"kind": "laurent"}
-
-    def __str__(self):
-        return "Z[t,t^-1]"
-
-    # -- packed payloads: sorted (exponent, coefficient) pairs without zeros
-
-    pack = attrgetter("terms")
-
-    @staticmethod
-    def unpack(x) -> LaurentElem:
-        """The element with payload ``x``."""
-        return LaurentElem(x)
-
-    @staticmethod
-    def element_to_json(value) -> list:
-        return [[e, c] for e, c in value.terms]
 
     @staticmethod
     def add(x, y):
@@ -219,6 +94,127 @@ class LaurentRing(_RingDescriptor):
         return tuple([(e, -c) for e, c in x])
 
     @staticmethod
+    def augment(x) -> int:
+        return sum([c for _, c in x])
+
+    nonzero = staticmethod(bool)
+
+    def format(self, x) -> str:
+        parts = []
+        for e, c in x:
+            mag = abs(c)
+            if e == 0:
+                body = str(mag)
+            else:
+                v = self.var if e == 1 else f"{self.var}^{e}"
+                body = v if mag == 1 else f"{mag}{v}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(("+ " if c > 0 else "- ") + body)
+        return " ".join(parts) if parts else "0"
+
+
+@dataclass(frozen=True)
+class CyclicRing(_RingDescriptor):
+    d: int
+    var = "T"
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("group order must be positive")
+
+    def monomial(self, k: int, c: int = 1):
+        return self.unpack(((k % self.d, int(c)),))
+
+    @property
+    def units_fully_known(self) -> bool:
+        """Whether every unit of the ring is of the form +-T^k."""
+        return self.d in TRIVIAL_UNIT_ORDERS
+
+    def to_json(self) -> dict:
+        return {"kind": "cyclic", "d": self.d}
+
+    def __str__(self):
+        return f"Z[Z_{self.d}]"
+
+    # -- the payload of a dense element, and the rules that fold mod d
+
+    @staticmethod
+    def pack(value):
+        return tuple([t for t in enumerate(value.coeffs) if t[1]])
+
+    def unpack(self, x) -> GroupRingElem:
+        """The element with payload ``x``."""
+        coeffs = [0] * self.d
+        for e, c in x:
+            coeffs[e] = c
+        return GroupRingElem(self.d, tuple(coeffs))
+
+    @staticmethod
+    def element_to_json(value) -> list:
+        return list(value.coeffs)
+
+    def mul(self, x, y):
+        d = self.d
+        out: dict[int, int] = {}
+        for e1, c1 in x:
+            for e2, c2 in y:
+                e = (e1 + e2) % d
+                out[e] = out.get(e, 0) + c1 * c2
+        return tuple(sorted([t for t in out.items() if t[1]]))
+
+    def conj(self, x):
+        d = self.d
+        return tuple(sorted([(-e % d, a) for e, a in x]))
+
+    def scale_row(self, w, row):
+        """Each payload of ``row`` times the monomial w = (k, c)."""
+        k, c = w
+        d = self.d
+        return tuple([tuple(sorted([((e + k) % d, c * a) for e, a in x])) if x else x for x in row])
+
+    @staticmethod
+    def row_ok(row, coeff_limit: int, exp_limit: int) -> bool:
+        """Every coefficient within +-coeff_limit (exponents are bounded by d)."""
+        for x in row:
+            for _, c in x:
+                if c > coeff_limit or c < -coeff_limit:
+                    return False
+        return True
+
+
+@dataclass(frozen=True)
+class LaurentRing(_RingDescriptor):
+    var = "t"
+
+    def monomial(self, k: int, c: int = 1):
+        return LaurentElem(((int(k), int(c)),))
+
+    @property
+    def units_fully_known(self) -> bool:
+        return True
+
+    def to_json(self) -> dict:
+        return {"kind": "laurent"}
+
+    def __str__(self):
+        return "Z[t,t^-1]"
+
+    # -- the payload is the element's own terms
+
+    pack = attrgetter("terms")
+
+    @staticmethod
+    def unpack(x) -> LaurentElem:
+        """The element with payload ``x``."""
+        return LaurentElem(x)
+
+    @staticmethod
+    def element_to_json(value) -> list:
+        return [[e, c] for e, c in value.terms]
+
+    @staticmethod
     def mul(x, y):
         out: dict[int, int] = {}
         for e1, c1 in x:
@@ -229,16 +225,6 @@ class LaurentRing(_RingDescriptor):
     @staticmethod
     def conj(x):
         return tuple([(-e, a) for e, a in reversed(x)])
-
-    @staticmethod
-    def augment(x) -> int:
-        return sum([c for _, c in x])
-
-    nonzero = staticmethod(bool)
-
-    @staticmethod
-    def format(x) -> str:
-        return _format_terms(x, "t")
 
     @staticmethod
     def scale_row(w, row):

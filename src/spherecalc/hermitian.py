@@ -402,8 +402,8 @@ def _generators(ring: Ring, m: int) -> tuple:
 
     Monomial scalings ("scale", i, i, (k, c)), swaps ("swap", i, j) and
     transvections ("add", i, j, (k, c)), where (k, c) is the monomial
-    c * T^k: a scaling multiplies row i by it, a transvection adds it
-    times row j to row i.
+    c * T^k, whose payload is the one pair ((k, c),): a scaling
+    multiplies row i by it, a transvection adds it times row j to row i.
     """
     exps = range(ring.d) if isinstance(ring, CyclicRing) else range(-2, 3)
     gens = []
@@ -476,8 +476,8 @@ def _apply(gen, p, ring: Ring):
 def _inverse(gen, ring: Ring):
     """The packed generator undoing ``gen``; it is in the table too.
 
-    Scaling by c T^k is undone by c T^-k (exponent taken mod d over a
-    cyclic ring), a swap by itself, and the transvection
+    Scaling by c T^k, the one-pair payload ((k, c),), is undone by its
+    conjugate c T^-k, a swap by itself, and the transvection
     row_i += c T^k row_j by row_i += -c T^k row_j.
     """
     if gen[0] == _SWAP:
@@ -485,7 +485,7 @@ def _inverse(gen, ring: Ring):
     kind, i, j, (k, c) = gen
     if kind == _ADD:
         return kind, i, j, (k, -c)
-    return kind, i, j, (-k % ring.d if isinstance(ring, CyclicRing) else -k, c)
+    return kind, i, j, ring.conj(((k, c),))[0]
 
 
 def _path(reached: dict, key) -> list:

@@ -641,7 +641,8 @@ def _unpack(ring, p):
     return tuple(tuple(ring.unpack(x) for x in row) for row in p)
 
 
-@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+# Z12 has exponents above EXP_LIMIT, and scale_row and conj wrap them mod 12
+@pytest.mark.parametrize("ring", KERNEL_RINGS + [CyclicRing(12)], ids=str)
 def test_packed_arithmetic_matches_elements(ring):
     rng = random.Random(f"payloads:{ring}")
     gens = hermitian._generators(ring, 2)
@@ -657,9 +658,27 @@ def test_packed_arithmetic_matches_elements(ring):
         assert ring.add(px, py) == ring.pack(oracles.element_sum(x, y))
         assert ring.conj(px) == ring.pack(oracles.element_conj(x))
         assert ring.scale_row(w, (px, py)) == (ring.pack(u * x), ring.pack(u * y))
+        # the growth check of the search, which over Z[Z_d] reads coefficients only
+        limits = hermitian.COEFF_LIMIT, hermitian.EXP_LIMIT
+        assert ring.row_ok((px, py), *limits) == _within_limits(((x, y),))
         # the element operators run on the same payload arithmetic
         assert x + y == oracles.element_sum(x, y)
         assert x.conjugate() == oracles.element_conj(x)
+
+
+def test_large_cyclic_orders_pack_sparsely_and_search_per_nonzero_coefficient():
+    ring = CyclicRing(4096)
+    assert ring.pack(ring.monomial(4095, -2)) == ((4095, -2),)
+    assert ring.pack(ring.zero()) == ()
+    # one transvection by 1 + T over Z1024: about 5d nodes, each costing
+    # per nonzero coefficient, not per d
+    ring = CyclicRing(1024)
+    t = ring.monomial(1)
+    form0 = HermitianForm(ring, ((0, 1), (1, 0)))
+    form1 = HermitianForm(ring, ((2 + t + t.conjugate(), 1), (1, 0)))
+    out = congruence_search(form0, form1)
+    assert (out.status, out.nodes_explored) == (hermitian.SEARCH_FOUND, 5126)
+    assert verify_congruence(out.witness, form0, form1)
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
