@@ -4,24 +4,25 @@ Two coefficient rings appear: the group ring of a finite cyclic group of
 order d and integer Laurent polynomials.  Both are exact; unit detection
 never leaves integer arithmetic.
 
-Every computation runs on packed payloads, one format for both rings
-(defined on ``_RingDescriptor``), so a search over Z[Z_d] costs per
-nonzero coefficient, not per d.  Payloads are canonical, so payload
-equality is element equality.  Every rule that reads a payload lives on
-the ring descriptor, ``CyclicRing`` or ``LaurentRing``: sum, product,
-negation, conjugate, augmentation, the printed form, and the row rules
-of the congruence search in ``hermitian``, ``scale_row`` and ``row_ok``
-(the growth check); the search sums rows entrywise with ``add``.  The
-descriptor's ``pack`` and ``unpack`` convert at the boundary: a
-``GroupRingElem`` keeps its dense length-d ``coeffs``, a ``LaurentElem``
-its ``terms``.  The element operators are written once, on the base
-class of both element types, and each asks the element's descriptor
-``ring`` for its rule.  Elements are built by their ring (``monomial``,
-``from_int``, ``zero``, ``one``) or from their payload.
+An element stores only its ring and its payload ``terms``: sorted
+(exponent, coefficient) pairs with no zero coefficient, one format for
+both rings (defined on ``_RingDescriptor``), so arithmetic over Z[Z_d]
+costs per nonzero coefficient, not per d.  Payloads are canonical, so
+within a ring payload equality is element equality.  Every rule that
+reads a payload lives on the ring descriptor, ``CyclicRing`` or
+``LaurentRing``: sum, product, negation, conjugate, augmentation, the
+printed form, and the row rules of the congruence search in
+``hermitian``, ``scale_row`` and ``row_ok`` (the growth check); the
+search sums rows entrywise with ``add``.  The element operators are
+written once, on the base class of both element types: each applies a
+rule of the descriptor ``ring`` to ``terms`` and wraps the result with
+``ring.element``, which takes a payload as canonical.
 
 >>> u = GroupRingElem(2, (1, 2))
 >>> str(u * u)
 '5 + 4T'
+>>> (u * u).terms
+((0, 5), (1, 4))
 >>> L = LaurentRing()
 >>> str(L.monomial(2) - 3 * L.monomial(-1))
 '-3t^-1 + t^2'
@@ -29,9 +30,7 @@ class of both element types, and each asks the element's descriptor
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import RingMismatch
@@ -40,8 +39,10 @@ from .intlattice import integer_det
 #: Cyclic orders whose group rings contain only the trivial units (+-T^k).
 TRIVIAL_UNIT_ORDERS = frozenset({1, 2, 3, 4, 6})
 
-#: Largest cyclic order accepted from input: a cyclic-ring element stores
-#: d coefficients, and a finite symmetry is sought up to this order.
+#: Largest cyclic order accepted from input, for what still grows with d:
+#: the search's generator table (4d transvections per ordered pair of rows),
+#: the O(d^3) circulant determinant of ``is_unit``, the d coefficients of a
+#: ``form`` JSON entry, and the search for the order of a finite symmetry.
 MAX_CYCLIC_ORDER = 4096
 
 
@@ -125,7 +126,7 @@ class CyclicRing(_RingDescriptor):
             raise ValueError("group order must be positive")
 
     def monomial(self, k: int, c: int = 1):
-        return self.unpack(((k % self.d, int(c)),))
+        return self.element(((k % self.d, int(c)),) if c else ())
 
     @property
     def units_fully_known(self) -> bool:
@@ -138,18 +139,14 @@ class CyclicRing(_RingDescriptor):
     def __str__(self):
         return f"Z[Z_{self.d}]"
 
-    # -- the payload of a dense element, and the rules that fold mod d
+    # -- the element of a payload, and the rules that fold exponents mod d
 
-    @staticmethod
-    def pack(value):
-        return tuple([t for t in enumerate(value.coeffs) if t[1]])
-
-    def unpack(self, x) -> GroupRingElem:
-        """The element with payload ``x``."""
-        coeffs = [0] * self.d
-        for e, c in x:
-            coeffs[e] = c
-        return GroupRingElem(self.d, tuple(coeffs))
+    def element(self, x) -> GroupRingElem:
+        """The element whose payload is ``x``, taken as canonical, not merged again."""
+        value = object.__new__(GroupRingElem)
+        object.__setattr__(value, "ring", self)
+        object.__setattr__(value, "terms", x)
+        return value
 
     @staticmethod
     def element_to_json(value) -> list:
@@ -165,8 +162,10 @@ class CyclicRing(_RingDescriptor):
         return tuple(sorted([t for t in out.items() if t[1]]))
 
     def conj(self, x):
+        # T^0 stays first; T^e becomes T^(d-e), which reverses the rest
         d = self.d
-        return tuple(sorted([(-e % d, a) for e, a in x]))
+        rest = tuple([(d - e, a) for e, a in reversed(x) if e])
+        return x[:1] + rest if x and not x[0][0] else rest
 
     def scale_row(self, w, row):
         """Each payload of ``row`` times the monomial w = (k, c)."""
@@ -189,7 +188,7 @@ class LaurentRing(_RingDescriptor):
     var = "t"
 
     def monomial(self, k: int, c: int = 1):
-        return LaurentElem(((int(k), int(c)),))
+        return self.element(((int(k), int(c)),) if c else ())
 
     @property
     def units_fully_known(self) -> bool:
@@ -201,14 +200,12 @@ class LaurentRing(_RingDescriptor):
     def __str__(self):
         return "Z[t,t^-1]"
 
-    # -- the payload is the element's own terms
-
-    pack = attrgetter("terms")
-
     @staticmethod
-    def unpack(x) -> LaurentElem:
-        """The element with payload ``x``."""
-        return LaurentElem(x)
+    def element(x) -> LaurentElem:
+        """The element whose payload is ``x``, taken as canonical, not merged again."""
+        value = object.__new__(LaurentElem)
+        object.__setattr__(value, "terms", x)
+        return value
 
     @staticmethod
     def element_to_json(value) -> list:
@@ -247,16 +244,6 @@ class LaurentRing(_RingDescriptor):
 Ring = CyclicRing | LaurentRing
 
 
-@lru_cache(maxsize=256)
-def _cyclic_ring(d: int) -> CyclicRing:
-    """One descriptor per recent order, so that its elements share it.
-
-    Sharing lets the operators recognise a same-ring operand by identity;
-    elements whose descriptors differ as objects still compare equal.
-    """
-    return CyclicRing(d)
-
-
 # ---------------------------------------------------------------------------
 # elements
 
@@ -272,9 +259,9 @@ class _RingElement:
         """Payload of ``other`` in this element's ring; None for a non-ring operand."""
         ring = self.ring
         if other.__class__ is self.__class__ and other.ring is ring:
-            return ring.pack(other)
+            return other.terms
         if isinstance(other, (int, _RingElement)):
-            return ring.pack(ring.coerce(other))
+            return ring.coerce(other).terms
         return None
 
     def __add__(self, other):
@@ -282,81 +269,88 @@ class _RingElement:
         if y is None:
             return NotImplemented
         ring = self.ring
-        return ring.unpack(ring.add(ring.pack(self), y))
+        return ring.element(ring.add(self.terms, y))
 
     __radd__ = __add__
 
     def __neg__(self):
         ring = self.ring
-        return ring.unpack(ring.neg(ring.pack(self)))
+        return ring.element(ring.neg(self.terms))
 
     def __sub__(self, other):
         y = self._coerce(other)
         if y is None:
             return NotImplemented
         ring = self.ring
-        return ring.unpack(ring.add(ring.pack(self), ring.neg(y)))
+        return ring.element(ring.add(self.terms, ring.neg(y)))
 
     def __rsub__(self, other):
         y = self._coerce(other)
         if y is None:
             return NotImplemented
         ring = self.ring
-        return ring.unpack(ring.add(y, ring.neg(ring.pack(self))))
+        return ring.element(ring.add(y, ring.neg(self.terms)))
 
     def __mul__(self, other):
         y = self._coerce(other)
         if y is None:
             return NotImplemented
         ring = self.ring
-        return ring.unpack(ring.mul(ring.pack(self), y))
+        return ring.element(ring.mul(self.terms, y))
 
     __rmul__ = __mul__
 
     def __bool__(self):
-        ring = self.ring
-        return ring.nonzero(ring.pack(self))
+        return self.ring.nonzero(self.terms)
 
     def conjugate(self):
         """Apply T -> T^(-1); an involutive ring automorphism."""
         ring = self.ring
-        return ring.unpack(ring.conj(ring.pack(self)))
+        return ring.element(ring.conj(self.terms))
 
     def augment(self) -> int:
         """Ring homomorphism to Z given by T -> 1."""
-        ring = self.ring
-        return ring.augment(ring.pack(self))
+        return self.ring.augment(self.terms)
 
     def __str__(self):
-        ring = self.ring
-        return ring.format(ring.pack(self))
+        return self.ring.format(self.terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroupRingElem(_RingElement):
     """Element of the integral group ring of the cyclic group of order d.
 
-    ``coeffs[k]`` is the coefficient of T^k; there are exactly d of them.
+    Built from d dense coefficients, ``coeffs[k]`` the coefficient of T^k,
+    and stored as its ring and payload ``terms``, the nonzero ones as
+    (k, coeffs[k]) pairs; ``d`` and ``coeffs`` are read back from those.
     """
 
-    d: int
-    coeffs: tuple[int, ...]
-    ring: CyclicRing = field(init=False, repr=False, compare=False)
+    ring: CyclicRing
+    terms: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        ring = _cyclic_ring(self.d)  # rejects an order below 1
-        coeffs = tuple(map(int, self.coeffs))
-        if len(coeffs) != self.d:
-            raise ValueError(f"expected {self.d} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, d: int, coeffs) -> None:
+        ring = CyclicRing(d)  # rejects an order below 1
+        coeffs = tuple(map(int, coeffs))
+        if len(coeffs) != d:
+            raise ValueError(f"expected {d} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", tuple([t for t in enumerate(coeffs) if t[1]]))
+
+    @property
+    def d(self) -> int:
+        return self.ring.d
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        coeffs = [0] * self.ring.d
+        for e, c in self.terms:
+            coeffs[e] = c
+        return tuple(coeffs)
 
     def multiplication_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Circulant d x d integer matrix of multiplication by this element."""
-        return tuple(
-            tuple(self.coeffs[(i - j) % self.d] for j in range(self.d))
-            for i in range(self.d)
-        )
+        coeffs, d = self.coeffs, self.d
+        return tuple(tuple(coeffs[(i - j) % d] for j in range(d)) for i in range(d))
 
     def is_unit(self) -> bool:
         """True iff the element is invertible.
@@ -366,11 +360,12 @@ class GroupRingElem(_RingElement):
         makes the element +-T^k, a unit.  Any other element is decided by
         the circulant determinant, O(d^3).
         """
+        terms = self.terms
         if self.augment() not in (1, -1):
             return False
-        if self.d % 2 == 0 and sum(self.coeffs[::2]) - sum(self.coeffs[1::2]) not in (1, -1):
+        if self.d % 2 == 0 and sum([-c if e % 2 else c for e, c in terms]) not in (1, -1):
             return False
-        if self.coeffs.count(0) == self.d - 1:
+        if len(terms) == 1:
             return True
         return integer_det(self.multiplication_matrix()) in (1, -1)
 

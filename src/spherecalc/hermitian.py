@@ -7,12 +7,12 @@ search always satisfies ``P * A0 * conj(P)^T == A1`` exactly and is
 invertible over the ring; witnesses are re-verified before being
 returned, and a witness that fails raises instead.
 
-Every matrix computation runs on the packed payloads of the entries,
-with the payload arithmetic of the ring descriptor (``groupring``), and
-a form packs its matrix once, when it is built.  Elements appear only at
-the boundary: parsing, printing, JSON and the witness; ``ring_mat_mul``,
-``ring_mat_vec``, ``conj_transpose`` and ``ring_det`` pack their
-arguments, run the one packed kernel and unpack its result.
+Every matrix computation runs on packed matrices, of the entries'
+payloads (``terms``), with the payload arithmetic of the ring descriptor
+(``groupring``); a form packs its matrix once, when it is built.
+Elements appear only at the boundary: parsing, printing, JSON and the
+witness; ``ring_mat_mul``, ``ring_mat_vec``, ``conj_transpose`` and
+``ring_det`` run the one kernel and wrap its result with ``ring.element``.
 
 The search is a breadth-first walk over products P of monomial scalings,
 swaps and monomial transvections.  A pointed form (A, z) is searched as
@@ -70,15 +70,15 @@ EXP_LIMIT = 8
 
 def _pack_matrix(ring: Ring, rows) -> tuple:
     """The payloads of a square matrix whose entries coerce into ``ring``."""
-    pack, coerce = ring.pack, ring.coerce
-    out = tuple(tuple([pack(coerce(v)) for v in row]) for row in rows)
+    coerce = ring.coerce
+    out = tuple(tuple([coerce(v).terms for v in row]) for row in rows)
     if any(len(row) != len(out) for row in out):
         raise DimensionMismatch("matrix over the ring is not square")
     return out
 
 
-def _unpack_matrix(ring: Ring, p) -> tuple:
-    return tuple(tuple(map(ring.unpack, row)) for row in p)
+def _element_matrix(ring: Ring, p) -> tuple:
+    return tuple(tuple(map(ring.element, row)) for row in p)
 
 
 def _mat_mul(a, b, ring: Ring) -> tuple:
@@ -95,7 +95,7 @@ def _conj_transpose(a, ring: Ring) -> tuple:
 def _det(a, ring: Ring):
     add, mul, neg, nonzero = ring.add, ring.mul, ring.neg, ring.nonzero
     m = len(a)
-    prev = {0: ring.pack(ring.one())}
+    prev = {0: ring.one().terms}
     for r in range(m):
         cur: dict[int, object] = {}
         for mask, val in prev.items():
@@ -110,7 +110,7 @@ def _det(a, ring: Ring):
                 cur[new] = add(cur[new], contrib) if new in cur else contrib
         prev = {k: v for k, v in cur.items() if nonzero(v)}
         if not prev:
-            return ring.pack(ring.zero())
+            return ring.zero().terms
     return prev[(1 << m) - 1]
 
 
@@ -123,17 +123,17 @@ def conj_transpose(rows):
     if not rows:
         return ()
     ring = rows[0][0].ring
-    return _unpack_matrix(ring, _conj_transpose(_pack_matrix(ring, rows), ring))
+    return _element_matrix(ring, _conj_transpose(_pack_matrix(ring, rows), ring))
 
 
 def ring_mat_mul(a, b, ring: Ring):
     p = _mat_mul(_pack_matrix(ring, a), _pack_matrix(ring, b), ring)
-    return _unpack_matrix(ring, p)
+    return _element_matrix(ring, p)
 
 
 def ring_mat_vec(a, v, ring: Ring):
-    column = tuple([(ring.pack(ring.coerce(x)),) for x in v])
-    return tuple(ring.unpack(x) for (x,) in _mat_mul(_pack_matrix(ring, a), column, ring))
+    column = tuple([(ring.coerce(x).terms,) for x in v])
+    return tuple(ring.element(x) for (x,) in _mat_mul(_pack_matrix(ring, a), column, ring))
 
 
 def ring_det(rows, ring: Ring):
@@ -143,9 +143,9 @@ def ring_det(rows, ring: Ring):
     subsets: division-free, so it is valid even when the ring has zero
     divisors (the cyclic group rings do).  Costs about m * 2^m ring
     multiplications, which is fine at the sizes that occur here.  It runs
-    on the one packed layer: only its argument and result are elements.
+    on the payloads: only its argument and result are elements.
     """
-    return ring.unpack(_det(_pack_matrix(ring, rows), ring))
+    return ring.element(_det(_pack_matrix(ring, rows), ring))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ class HermitianForm:
 
     @cached_property
     def det(self):
-        return self.ring.unpack(_det(self.packed, self.ring))
+        return self.ring.element(_det(self.packed, self.ring))
 
     def display(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.matrix]
@@ -340,14 +340,14 @@ class CongruenceOutcome:
 def verify_congruence(p, form0: HermitianForm, form1: HermitianForm) -> bool:
     """Exact check that P A0 conj(P)^T = A1 and that P is invertible.
 
-    Runs on the one packed layer with the ring's ``mul``, ``add`` and
-    ``conj``, never on the search kernel (``_child_form``, ``_apply``)
-    whose witnesses it checks; of the results only det P is unpacked.
+    Runs on the payloads with the ring's ``mul``, ``add`` and ``conj``,
+    never on the search kernel (``_child_form``, ``_apply``) whose
+    witnesses it checks; of the results only det P becomes an element.
     """
     ring = form0.ring
     q = _pack_matrix(ring, p)  # a P of another size gives a product of that size
     product = _mat_mul(_mat_mul(q, form0.packed, ring), _conj_transpose(q, ring), ring)
-    return product == form1.packed and ring.unpack(_det(q, ring)).is_unit()
+    return product == form1.packed and ring.element(_det(q, ring)).is_unit()
 
 
 def _augmentation_refutation(form0: HermitianForm, form1: HermitianForm) -> str | None:
@@ -589,9 +589,9 @@ def _bidirectional_search(
 
 
 def _verified_witness(p, form0: HermitianForm, form1: HermitianForm, pointed):
-    """Unpack a packed witness and re-verify it exactly; raise if it fails."""
+    """The elements of a packed witness, re-verified exactly; raise if it fails."""
     ring = form0.ring
-    witness = _unpack_matrix(ring, p)
+    witness = _element_matrix(ring, p)
     if not verify_congruence(witness, form0, form1):
         raise WitnessVerificationFailed("search witness fails P A0 conj(P)^T == A1")
     if pointed is not None:

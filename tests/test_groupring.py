@@ -1,3 +1,4 @@
+import dataclasses
 import doctest
 import importlib
 import operator
@@ -143,7 +144,7 @@ def test_packed_product_matches_the_convolution_oracle(ring):
     pairs += [(element(), element()) for _ in range(200)]
     for x, y in pairs:
         expected = oracles.element_product(x, y)
-        assert ring.mul(ring.pack(x), ring.pack(y)) == ring.pack(expected)
+        assert ring.mul(x.terms, y.terms) == expected.terms
         assert x * y == expected
 
 
@@ -267,6 +268,25 @@ def test_ring_descriptors():
         CyclicRing(0)
     with pytest.raises(ValueError, match="expected 3 coefficients"):
         GroupRingElem(3, (1, 2))
+
+
+def test_cyclic_elements_store_their_ring_and_payload():
+    # the sparse pairs are the stored value; d and the dense coeffs are read off them
+    assert [f.name for f in dataclasses.fields(GroupRingElem)] == ["ring", "terms"]
+    x = CyclicRing(4096).monomial(4095, -2)
+    assert x.terms == ((4095, -2),)
+    assert (x * x).terms == ((4094, 4),)
+    assert x.d == 4096 and len(x.coeffs) == 4096 and x.coeffs[4095] == -2
+    assert GroupRingElem(3, (0, 5, 0)).terms == ((1, 5),)
+    assert "d=4096" in repr(x)
+    # equal payloads over different orders are different elements
+    z2, z3 = CyclicRing(2).monomial(1), CyclicRing(3).monomial(1)
+    assert z2.terms == z3.terms and z2 != z3
+    # equal elements built on distinct descriptor objects are equal, hash equal
+    # and combine through coerce
+    y = GroupRingElem(4096, x.coeffs)
+    assert y.ring is not x.ring and y == x and hash(y) == hash(x)
+    assert (x + y).terms == ((4095, -4),)
 
 
 def test_trivial_ring_order_one():
