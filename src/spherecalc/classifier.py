@@ -18,18 +18,19 @@ Every verdict is a function of b2, sigma, ks and three invariants of the
 class: its divisibility d, the square y.y of y = x/d, and whether x is
 characteristic.  One private function, ``_verdict``, holds all the rules;
 ``classify`` and the single-rule functions compute the invariants of one
-class and read their answer off it.  ``Box`` walks a coordinate box a
-plane (the classes sharing their leading n-2 coordinates) at a time with
-one odometer; five invariants of a plane, its signature, give the lazy
-invariants of its classes at O(1) cost per class.
-``enumerate_representable`` expands the planes into classes and reports.
+class and read their answer off it, and ``enumerate_representable`` is
+``classify`` over a coordinate box.  ``Box`` walks a box a plane (the
+classes sharing their leading n-2 coordinates) at a time with one
+odometer; five invariants of a plane, its signature, give the lazy
+invariants of its classes at O(1) cost per class, for the catalog writer.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 from math import gcd
 
 from . import hermitian, intlattice
@@ -409,22 +410,11 @@ class Box:
 
 
 def enumerate_representable(manifold: FourManifold, max_abs: int) -> list[SphereClassReport]:
-    """Classify every class with coordinates in [-max_abs, max_abs].
-
-    Classes are visited and reported in lexicographic order, so the output
-    is deterministic.  A report depends on its class only through
-    (divisibility, x.x, characteristic), so the other fields are computed
-    once per such key.
-    """
-    box = Box(manifold, max_abs)
-    fields = cache(lambda d, xx, c: astuple(report_from_invariants(manifold, (), d, xx, c))[1:])
-    suffixes = [(t,) for t in box.run] if manifold.b2 else [()]
-    return [
-        SphereClassReport(head + lead + suffix, *fields(d, xx, c))
-        for head, signature in box.planes()
-        for lead, keys in box.rows(signature)
-        for suffix, (d, xx, c) in zip(suffixes, keys)
-    ]
+    """``classify`` every class with coordinates in [-max_abs, max_abs], in lexicographic order."""
+    if max_abs < 0:
+        raise ValueError("max_abs must be nonnegative")
+    coords = range(-max_abs, max_abs + 1)
+    return [classify(manifold, x) for x in product(coords, repeat=manifold.b2)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import chain, islice, starmap
 from operator import itemgetter
 
@@ -274,18 +274,22 @@ class CatalogFile:
         # The decoded document is millions of containers without cycles,
         # which the collector would traverse again and again as it grows
         # (~40% of the read time), so it is decoded with the collector off
-        # and then frozen out of its view (undoing a caller's gc.freeze()).
-        # The collector runs during the comparison: json's indenting encoder
-        # leaves a cycle per rendered body, 100 MB on a CP2 row of 40,001.
-        collecting = gc.isenabled()
+        # and then frozen out of its view.  unfreeze() thaws every frozen
+        # object, so a caller's gc.freeze() rules the freezing out, and the
+        # collector then traverses the document.  The collector runs during
+        # the comparison: json's indenting encoder leaves a cycle per
+        # rendered body, 100 MB on a CP2 row of 40,001.
+        collecting, freezing = gc.isenabled(), not gc.get_freeze_count()
         gc.disable()
         try:
             data = _load_json(text, "catalog")
-            gc.freeze()
+            if freezing:
+                gc.freeze()
             gc.enable()
             return cls._read(data)
         finally:
-            gc.unfreeze()
+            if freezing:
+                gc.unfreeze()
             (gc.enable if collecting else gc.disable)()
 
     @classmethod
@@ -355,8 +359,8 @@ def build_catalog(spec: ManifoldSpec, max_abs: int) -> CatalogFile:
 
 
 #: The one bound of ``write_catalog``: the most reports per write, the most
-#: report bodies its body cache holds, and the most classes of the planes its
-#: LRU plane cache holds; a larger plane is written in slices of this size.
+#: report bodies its LRU body cache holds, and the most classes of the planes
+#: its LRU plane cache holds; a larger plane is written in slices of this size.
 CHUNK_REPORTS = 4096
 
 
@@ -391,9 +395,8 @@ def _report_chunks(catalog: CatalogFile, manifold: FourManifold):
     (the rest, rendered per (divisibility, x.x, characteristic) key).  Tails,
     bodies and counts depend only on the plane's signature, so a cached plane
     costs one ``join`` and three additions.  Both caches are ``functools``
-    caches local to the call and bounded by ``CHUNK_REPORTS``: the bodies are
-    dropped all at once before a slice would take them past it, and the least
-    recently used planes are dropped to keep at most that many classes.  A
+    LRU caches local to the call and bounded by ``CHUNK_REPORTS``: at most
+    that many bodies, and planes of at most that many classes in all.  A
     larger plane is rendered in slices of that many classes, and not kept.
     """
     box = classifier.Box(manifold, catalog.max_abs)
@@ -405,7 +408,7 @@ def _report_chunks(catalog: CatalogFile, manifold: FourManifold):
         run, row = ("",), 1  # the one class of rank 0 has no last coordinate
     plane_classes = row ** min(manifold.b2, 2)
 
-    @cache
+    @lru_cache(CHUNK_REPORTS)
     def body(d: int, xx: int, characteristic: bool) -> tuple[str, bool, bool]:
         """(report text after the class, representable, unique) of the key."""
         report = classifier.report_from_invariants(manifold, (), d, xx, characteristic)
@@ -427,8 +430,6 @@ def _report_chunks(catalog: CatalogFile, manifold: FourManifold):
                 if len(slice_bodies) + len(part) > CHUNK_REPORTS:
                     yield tails, slice_bodies, representable, unique
                     tails, slice_bodies, representable, unique = [], [], 0, 0
-                if body.cache_info().currsize + len(part) > CHUNK_REPORTS:
-                    body.cache_clear()
                 entries = list(starmap(body, part))
                 tails += [f"{lead}{t}{class_close}" for t in run[i : i + CHUNK_REPORTS]]
                 slice_bodies += map(itemgetter(0), entries)

@@ -10,7 +10,7 @@ are reported ``undecided``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -126,7 +126,6 @@ class IntersectionForm:
     """
 
     matrix: Matrix
-    determinant: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = freeze_matrix(self.matrix)
@@ -136,7 +135,6 @@ class IntersectionForm:
         if det not in (1, -1):
             raise ValueError(f"intersection form must be unimodular, got det {det}")
         object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "determinant", det)
 
     @property
     def rank(self) -> int:

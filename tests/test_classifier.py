@@ -311,15 +311,6 @@ def test_characteristic_vector_spans_the_characteristic_coset():
             assert oracles.is_characteristic_bruteforce(rows, a) == (a == w)
 
 
-@pytest.mark.parametrize("max_abs", [0, 1, 2])
-def test_enumerate_representable_matches_per_class_classify(max_abs):
-    odd = FourManifold(IntersectionForm(block_diag(H_MATRIX, ((1,),), ((-1,),))), 1)
-    for manifold in (CP2, S2XS2_2, odd, FourManifold(IntersectionForm(()), 0)):
-        coords = range(-max_abs, max_abs + 1)
-        expected = [classify(manifold, x) for x in itertools.product(coords, repeat=manifold.b2)]
-        assert enumerate_representable(manifold, max_abs) == expected
-
-
 def test_cp2_closed_form_up_to_50():
     for k in range(-50, 51):
         expected = k in (-2, -1, 0, 1, 2)

@@ -519,6 +519,28 @@ def test_streamed_catalog_keeps_the_most_recently_used_planes(
     assert len(calls) == renders
 
 
+@pytest.mark.parametrize("manifold, chunk, renders", [("H", 64, 260), ("CP2#CP2", 50, 98)])
+def test_streamed_catalog_keeps_the_most_recently_used_bodies(
+    monkeypatch, manifold, chunk, renders
+):
+    # at box 10 both are one plane of 441 classes, larger than the chunk, so
+    # it is written in slices of rows and only the body cache is reused; an
+    # LRU of 64 or 50 bodies keeps the keys the next rows share, while
+    # dropping all of them before a slice would overflow rendered 368 and 197
+    expected = cached_in_memory_text(manifold, 10)
+    report_from_invariants = classifier.report_from_invariants
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return report_from_invariants(*args)
+
+    monkeypatch.setattr(classifier, "report_from_invariants", counted)
+    monkeypatch.setattr(cli, "CHUNK_REPORTS", chunk)
+    assert streamed(cli.parse_manifold_spec(manifold), 10) == expected
+    assert len(calls) == renders
+
+
 def peak_of_streamed_catalogs(manifold, max_abs_values):
     """The tracemalloc peak of ``write_catalog`` to devnull, per box."""
     spec = cli.parse_manifold_spec(manifold)
@@ -1026,6 +1048,22 @@ def test_reading_a_catalog_leaves_the_collector_as_it_was():
     finally:
         gc.enable()
     assert gc.get_freeze_count() == 0
+
+
+def test_reading_a_catalog_keeps_a_callers_frozen_objects_frozen():
+    text = in_memory_catalog(cli.parse_manifold_spec("H"), 1)[0]
+    marker = [[]]  # a container the collector tracks until it is frozen
+    gc.freeze()
+    try:
+        cli.CatalogFile.from_json_text(text)
+        with pytest.raises(ParseError):
+            cli.CatalogFile.from_json_text(text.replace('"b2": 2', '"b2": 3', 1))
+        assert gc.get_freeze_count() > 0
+        assert not any(obj is marker for obj in gc.get_objects())
+    finally:
+        gc.unfreeze()
+    assert gc.isenabled()
+    assert any(obj is marker for obj in gc.get_objects())
 
 
 def test_reading_a_long_row_leaves_no_garbage_cycles():
