@@ -2,16 +2,17 @@
 
 JSON output is the stable contract; the table format is for humans and
 may change.  A catalog is a function of its header, ``CatalogFile``, and
-``write_catalog`` is its one renderer: it streams the runs of
-``_report_chunks``, which splices repeated planes of the box from a bounded
-cache and keeps no report, so memory stays flat however large the box.
-``CatalogFile.from_json_text`` compares a file with the same runs, so it
-accepts only the catalog of its own header.  Matrix and class literals are
-JSON arrays of integers.  A hermitian-form literal is a JSON array of
-polynomial entries, bare or quoted, each read by ``parse_poly``: integer
-coefficients and powers of ``T`` (cyclic rings) or ``t``, with ``t^-2``-style
-negative exponents (Laurent ring).  ``form congruent``'s ``--budget`` bounds
-the nodes of the congruence search and defaults to ``hermitian.DEFAULT_BUDGET``.
+``write_catalog`` is its one renderer: it batches and writes the plane
+slices of ``_report_chunks``, which splices repeated planes of the box from
+a bounded cache, writes report bodies as text, and keeps no report, so
+memory stays flat however large the box.  ``CatalogFile.from_json_text``
+compares a file with the same slices, so it accepts only the catalog of its
+own header.  Matrix and class literals are JSON arrays of integers.  A
+hermitian-form literal is a JSON array of polynomial entries, bare or
+quoted, each read by ``parse_poly``: integer coefficients and powers of
+``T`` (cyclic rings) or ``t``, with ``t^-2``-style negative exponents
+(Laurent ring).  ``form congruent``'s ``--budget`` bounds the nodes of
+the congruence search and defaults to ``hermitian.DEFAULT_BUDGET``.
 """
 
 from __future__ import annotations
@@ -233,8 +234,8 @@ class CatalogFile:
     """A catalog's header; its reports are fixed by the manifold and ``max_abs``.
 
     No report is stored: ``to_json_text`` streams the text through
-    ``write_catalog``, and ``from_json_text`` compares a file with the runs
-    of ``_report_chunks`` that it writes.
+    ``write_catalog``, and ``from_json_text`` compares a file with the plane
+    slices of ``_report_chunks`` that it writes.
     """
 
     manifold: ManifoldSpec
@@ -264,8 +265,8 @@ class CatalogFile:
 
         After a check that costs O(len(text)) -- ``max_abs`` is a
         nonnegative integer, at most len(reports) when b2 >= 1, and there
-        are (2 max_abs + 1)^b2 reports -- the reports are compared, a run at
-        a time, with the decoded runs of ``_report_chunks``, which
+        are (2 max_abs + 1)^b2 reports -- the reports are compared, a plane
+        slice at a time, with the decoded slices of ``_report_chunks``, which
         ``write_catalog`` writes.  The document must hold the values of the
         header and of each report, with their types; only whitespace and key
         order may differ.  The header it checked is returned, so no value of
@@ -273,24 +274,15 @@ class CatalogFile:
         """
         # The decoded document is millions of containers without cycles,
         # which the collector would traverse again and again as it grows
-        # (~40% of the read time), so it is decoded with the collector off
-        # and then frozen out of its view.  unfreeze() thaws every frozen
-        # object, so a caller's gc.freeze() rules the freezing out, and the
-        # collector then traverses the document.  The collector runs during
-        # the comparison: json's indenting encoder leaves a cycle per
-        # rendered body, 100 MB on a CP2 row of 40,001.
-        collecting, freezing = gc.isenabled(), not gc.get_freeze_count()
+        # (~40% of the read time), and the comparison makes none, so the
+        # whole read runs with the collector off.
+        collecting = gc.isenabled()
         gc.disable()
         try:
-            data = _load_json(text, "catalog")
-            if freezing:
-                gc.freeze()
-            gc.enable()
-            return cls._read(data)
+            return cls._read(_load_json(text, "catalog"))
         finally:
-            if freezing:
-                gc.unfreeze()
-            (gc.enable if collecting else gc.disable)()
+            if collecting:
+                gc.enable()
 
     @classmethod
     def _read(cls, data) -> "CatalogFile":
@@ -329,9 +321,9 @@ class CatalogFile:
         except ValueError as exc:
             raise ParseError(f"malformed catalog: {exc}") from exc
         given = iter(reports)
-        for text, n, _, _ in _report_chunks(header, manifold):
+        for parts, n, _, _ in _report_chunks(header, manifold):
             got = list(islice(given, n))
-            if got != json.loads(f"[{text}]") or not _numbers_typed(got):
+            if got != json.loads(f"[{''.join(parts)}]") or not _numbers_typed(got):
                 raise ParseError("malformed catalog: the reports are not those of its header")
         return header
 
@@ -360,7 +352,7 @@ def build_catalog(spec: ManifoldSpec, max_abs: int) -> CatalogFile:
 
 #: The one bound of ``write_catalog``: the most reports per write, the most
 #: report bodies its LRU body cache holds, and the most classes of the planes
-#: its LRU plane cache holds; a larger plane is written in slices of this size.
+#: its LRU plane cache holds; a larger plane is yielded in slices of this size.
 CHUNK_REPORTS = 4096
 
 
@@ -370,34 +362,42 @@ def write_catalog(fh, catalog: CatalogFile, manifold: FourManifold) -> tuple[int
     The one catalog renderer: ``enumerate`` and ``CatalogFile.to_json_text``
     write through it, and ``manifold`` is the caller's ``FourManifold`` of
     the header's spec.  It writes the header dict's text, indented by two,
-    around the runs of ``_report_chunks``, each dropped before the next is
-    rendered, so memory stays flat however large the box and its rows.
+    around the plane slices of ``_report_chunks``, joined by ``",\n"``.  It
+    is the one place that batches: the pieces of whole slices are gathered
+    until the next slice would pass ``CHUNK_REPORTS`` reports, then joined
+    and written at once, so memory stays flat however large the box and its
+    rows.
     """
     head, tail = json.dumps(catalog._header(), indent=2).rsplit('"reports": []', 1)
-    fh.write(head + '"reports": [\n')
+    pending, batched = [head, '"reports": [\n'], 0
     classes = representable = unique = 0
-    for text, n, r, u in _report_chunks(catalog, manifold):
-        fh.write(",\n" if classes else "")
-        fh.write(text)
-        del text  # or it stays alive while the next run renders
-        classes, representable, unique = classes + n, representable + r, unique + u
-    fh.write("\n  ]" + tail + "\n")
+    for parts, n, r, u in _report_chunks(catalog, manifold):
+        if batched + n > CHUNK_REPORTS:
+            fh.write("".join(pending))
+            pending, batched = [], 0
+        pending.append(",\n" if classes else "")
+        pending += parts
+        batched, classes, representable, unique = batched + n, classes + n, representable + r, unique + u
+    pending.append("\n  ]" + tail + "\n")
+    fh.write("".join(pending))
     return classes, representable, unique
 
 
 def _report_chunks(catalog: CatalogFile, manifold: FourManifold):
-    """Yield (text, classes, representable, unique) per run of the catalog's reports.
+    """Yield (parts, classes, representable, unique) per plane slice of the catalog's reports.
 
-    A run holds at most ``CHUNK_REPORTS`` reports; ``text`` is their text as
-    the catalog indents it, joined by ``",\n"``, with no separator before the
-    first.  Each plane of ``classifier.Box`` is one ``join`` of its head's
-    text and each class's tail (the coordinates after the head) and body
-    (the rest, rendered per (divisibility, x.x, characteristic) key).  Tails,
-    bodies and counts depend only on the plane's signature, so a cached plane
-    costs one ``join`` and three additions.  Both caches are ``functools``
-    LRU caches local to the call and bounded by ``CHUNK_REPORTS``: at most
-    that many bodies, and planes of at most that many classes in all.  A
-    larger plane is rendered in slices of that many classes, and not kept.
+    A slice is a plane of ``classifier.Box``, or, when the plane holds more
+    than ``CHUNK_REPORTS`` classes, a run of its rows with at most that many.
+    ``parts`` is [head, tail, body, head, tail, body, ...], one triple per
+    class: the head's text, the class's tail (the coordinates after the head)
+    and its body (the rest, rendered per (divisibility, x.x, characteristic)
+    key).  Its join is the slice's reports as the catalog indents them,
+    joined by ``",\n"``, with no separator before the first.  Tails, bodies
+    and counts depend only on the plane's signature, so a cached plane costs
+    one list of references.  Both caches are ``functools`` LRU caches
+    local to the call and bounded by ``CHUNK_REPORTS``: at most that many
+    bodies, and planes of at most that many classes in all.  A larger plane
+    is rendered in slices, and not kept.
     """
     box = classifier.Box(manifold, catalog.max_abs)
     if manifold.b2:
@@ -407,17 +407,24 @@ def _report_chunks(catalog: CatalogFile, manifold: FourManifold):
         class_open, class_sep, class_close = '    {\n      "class": [', "", "],\n"
         run, row = ("",), 1  # the one class of rank 0 has no last coordinate
     plane_classes = row ** min(manifold.b2, 2)
+    fixed = f'      "b2": {manifold.b2},\n      "sigma": {manifold.sigma},\n      "ks": {manifold.ks},\n'
+
+    def names(items: tuple[str, ...]) -> str:
+        """A list of reason or citation names, which need no escaping, as json.dumps indents it."""
+        return "[\n" + ",\n".join([f'        "{v}"' for v in items]) + "\n      ]" if items else "[]"
 
     @lru_cache(CHUNK_REPORTS)
     def body(d: int, xx: int, characteristic: bool) -> tuple[str, bool, bool]:
-        """(report text after the class, representable, unique) of the key."""
-        report = classifier.report_from_invariants(manifold, (), d, xx, characteristic)
-        data = report.to_json_dict()
-        del data["class"]
+        """(report text after the class, as json.dumps nests it, representable, unique) of the key."""
+        r = classifier.report_from_invariants(manifold, (), d, xx, characteristic)
+        lw_bound = "null" if r.lw_bound is None else r.lw_bound
         return (
-            "    " + json.dumps(data, indent=2)[2:].replace("\n", "\n    "),
-            report.exists in (classifier.EXISTS_YES, classifier.EXISTS_BY_DEFINITION),
-            report.uniqueness == classifier.UNIQUE_ISOTOPY,
+            f'      "divisibility": {d},\n      "characteristic": {str(characteristic).lower()},\n'
+            f'      "lw_bound": {lw_bound},\n{fixed}      "exists": "{r.exists}",\n'
+            f'      "reasons": {names(r.reasons)},\n      "uniqueness": "{r.uniqueness}",\n'
+            f'      "citations": {names(r.citations)}\n    }}',
+            r.exists in (classifier.EXISTS_YES, classifier.EXISTS_BY_DEFINITION),
+            r.uniqueness == classifier.UNIQUE_ISOTOPY,
         )
 
     def render(signature):
@@ -442,25 +449,14 @@ def _report_chunks(catalog: CatalogFile, manifold: FourManifold):
     else:
         slices_of = render
 
-    pieces, classes, representable, unique = [], 0, 0, 0
     for coords, signature in box.planes():
-        head_text = ",\n" + class_open + "".join([f"{v}{class_sep}" for v in coords])
+        head = ",\n" + class_open + "".join([f"{v}{class_sep}" for v in coords])
         for tails, slice_bodies, r, u in slices_of(signature):
-            n = len(slice_bodies)
-            if classes + n > CHUNK_REPORTS:
-                text, pieces = "".join(pieces), []  # the pieces go before the run is written
-                yield text, classes, representable, unique
-                del text
-                classes, representable, unique = 0, 0, 0
-            plane = [head_text] * (3 * n)
-            plane[1::3] = tails
-            plane[2::3] = slice_bodies
-            if not classes:  # a run's first report has no separator
-                plane[0] = head_text[2:]
-            pieces.append("".join(plane))
-            classes, representable, unique = classes + n, representable + r, unique + u
-    text, pieces = "".join(pieces), []
-    yield text, classes, representable, unique
+            parts = [head] * (3 * len(slice_bodies))
+            parts[0] = head[2:]
+            parts[1::3] = tails
+            parts[2::3] = slice_bodies
+            yield parts, len(slice_bodies), r, u
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ characteristic classes from brute force over (Z/2)^n, group-ring units
 from an exhaustive bounded inverse search, the existence criteria
 from a literal Fraction evaluation of the two defining conditions, and
 the congruence-search generators from element products, and ring sums,
-products and conjugates formed outside the packed ring arithmetic.
+products and conjugates formed outside the packed ring arithmetic; pairs
+congruent along long generator paths are pushed on plain dicts.
 """
 
 from __future__ import annotations
@@ -215,3 +216,129 @@ def random_symmetric(rng: random.Random, n, bound=4):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
     return tuple(tuple(row) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# congruent pairs along long generator paths
+#
+# Entries are built as {exponent: coefficient} dicts, with exponents mod d
+# over Z[Z_d] (``modulus`` d) or unreduced over the Laurent ring (``modulus``
+# None), and become ring elements only at the end, so no ring arithmetic
+# makes them.
+
+
+def _dict_shift(x, k, c, modulus):
+    """c T^k x."""
+    return {(e + k) % modulus if modulus else e + k: c * a for e, a in x.items()}
+
+
+def _dict_sum(x, y):
+    total = dict(x)
+    for e, a in y.items():
+        total[e] = total.get(e, 0) + a
+    return {e: a for e, a in total.items() if a}
+
+
+def _dict_conj(x, modulus):
+    return {-e % modulus if modulus else -e: a for e, a in x.items()}
+
+
+def _dict_element(x, modulus):
+    if modulus:
+        return GroupRingElem(modulus, tuple(x.get(e, 0) for e in range(modulus)))
+    return LaurentElem(tuple(sorted(x.items())))
+
+
+def _random_exponent(rng: random.Random, modulus) -> int:
+    """0 <= k < d over Z[Z_d]; -2 <= k <= 2, the search's window, over the Laurent ring."""
+    return rng.randrange(modulus) if modulus else rng.randint(-2, 2)
+
+
+def _random_generator(rng: random.Random, modulus, m):
+    """A generator in ``hermitian._generators``' format, drawn at random.
+
+    A scaling by +-T^k, a swap, or a transvection adding +-T^k or +-2T^k
+    times one row to another.
+    """
+    k = _random_exponent(rng, modulus)
+    kind = rng.choice(("scale", "swap", "add")) if m > 1 else "scale"
+    if kind == "scale":
+        i = rng.randrange(m)
+        return ("scale", i, i, (k, rng.choice((1, -1))))
+    i, j = rng.sample(range(m), 2)
+    if kind == "swap":
+        return ("swap", min(i, j), max(i, j))
+    return ("add", i, j, (k, rng.choice((1, -1, 2, -2))))
+
+
+def _push(gen, rows, z, modulus):
+    """E A E* and E z in place, for the elementary matrix E of ``gen``.
+
+    E acts on the rows of A and of z, and E* on the columns of A: a
+    scaling by w = c T^k multiplies column i by conj(w) = c T^-k, and the
+    transvection row_i += w row_j adds column j times conj(w) to column i.
+    """
+    kind, i, j = gen[0], gen[1], gen[2]
+    if kind == "swap":
+        rows[i], rows[j], z[i], z[j] = rows[j], rows[i], z[j], z[i]
+        for row in rows:
+            row[i], row[j] = row[j], row[i]
+        return
+    k, c = gen[3]
+    if kind == "scale":
+        rows[i] = [_dict_shift(v, k, c, modulus) for v in rows[i]]
+        for row in rows:
+            row[i] = _dict_shift(row[i], -k, c, modulus)
+        z[i] = _dict_shift(z[i], k, c, modulus)
+    else:
+        rows[i] = [_dict_sum(v, _dict_shift(u, k, c, modulus)) for v, u in zip(rows[i], rows[j])]
+        for row in rows:
+            row[i] = _dict_sum(row[i], _dict_shift(row[j], -k, c, modulus))
+        z[i] = _dict_sum(z[i], _dict_shift(z[j], k, c, modulus))
+
+
+def congruent_pointed_pairs(seed, ring, m, count, steps=(8, 40)):
+    """``count`` seeded pointed pairs ((A, z), (P A P*, P z), path) over ``ring`` in rank ``m``.
+
+    A is a random hermitian form: x + conj(x) + n on the diagonal and
+    conjugate pairs off it, each x a sum of up to three monomials +-T^k or
+    +-2T^k, and -3 <= n <= 3.  z is a basis vector e_i.  ``path`` lists
+    ``steps[0]``-``steps[1]`` random generators (``_random_generator``),
+    more than the search reaches, and P is their product, the first
+    applied first; the pushed pair is built a generator at a time by row
+    and column operations.
+    """
+    modulus = ring.d if isinstance(ring.zero(), GroupRingElem) else None
+    rng = random.Random(f"pairs:{seed}:{ring}:{m}")
+
+    def entry():
+        x = {}
+        for _ in range(rng.randint(0, 3)):
+            x = _dict_sum(x, {_random_exponent(rng, modulus): rng.choice((1, -1, 2, -2))})
+        return x
+
+    pairs = []
+    for _ in range(count):
+        rows = [[{}] * m for _ in range(m)]
+        for i in range(m):
+            x = entry()
+            rows[i][i] = _dict_sum(_dict_sum(x, _dict_conj(x, modulus)), {0: rng.randint(-3, 3)})
+            for j in range(i + 1, m):
+                rows[i][j] = entry()
+                rows[j][i] = _dict_conj(rows[i][j], modulus)
+        i = rng.randrange(m)
+        z = [{0: 1} if r == i else {} for r in range(m)]
+        ends = []
+        path = [_random_generator(rng, modulus, m) for _ in range(rng.randint(*steps))]
+        for gens in ((), path):
+            pushed, pushed_z = [list(row) for row in rows], list(z)
+            for gen in gens:
+                _push(gen, pushed, pushed_z, modulus)
+            ends.append(
+                (
+                    tuple(tuple(_dict_element(v, modulus) for v in row) for row in pushed),
+                    tuple(_dict_element(v, modulus) for v in pushed_z),
+                )
+            )
+        pairs.append((*ends, tuple(path)))
+    return pairs

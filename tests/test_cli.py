@@ -386,6 +386,8 @@ STAMP = "2000-01-01T00:00:00+00:00"
 
 #: (manifold, ks, max_abs): rank 0, a --max-abs 0 box, and the benchmark's
 #: families; E8 box 1 (6,561 classes) spans more than one written chunk.
+#: diag(1,-1,-1) has a negative signature, and the zero class of H#H#H
+#: (b2 >= |sigma| + 6) carries three citations.
 CATALOG_CASES = [
     ("CP2", 0, 4),
     ("H#H", 0, 2),
@@ -394,6 +396,8 @@ CATALOG_CASES = [
     ("E8", 1, 1),
     ("diag()", 0, 3),
     ("H#H", 1, 0),
+    ("diag(1,-1,-1)", 1, 2),
+    ("H#H#H", 0, 1),
 ]
 
 
@@ -462,13 +466,13 @@ def test_serialising_a_catalog_renders_each_report_body_once(monkeypatch):
 
     keys = {(r.divisibility, square(r.x), r.characteristic) for r in reports}
     calls = []
-    to_json_dict = classifier.SphereClassReport.to_json_dict
+    report_from_invariants = classifier.report_from_invariants
 
-    def counted(report):
-        calls.append(report.x)
-        return to_json_dict(report)
+    def counted(*args):
+        calls.append(args)
+        return report_from_invariants(*args)
 
-    monkeypatch.setattr(classifier.SphereClassReport, "to_json_dict", counted)
+    monkeypatch.setattr(classifier, "report_from_invariants", counted)
     assert cli.CatalogFile(spec, 2, __version__, STAMP).to_json_text() == expected
     assert len(calls) == len(keys) < len(reports)
 
@@ -984,9 +988,10 @@ def test_tampered_catalog_is_a_parse_error(tamper, message):
     "manifold,chunk", [("H#H#H", 1), ("H#H#H", 8), ("H#H#H", 25), ("E8", 8), ("E8", 25)]
 )
 def test_catalog_is_read_a_run_at_a_time(monkeypatch, manifold, chunk):
-    # both boxes have planes of 9 classes, so runs of at most 1, 8 or 25
-    # reports end inside planes, between rows, and after whole planes
-    # (E8 at 1 would repeat H#H#H at 1, rendering every body anew)
+    # both boxes have planes of 9 classes, so the slices the reader
+    # compares, of at most 1, 8 or 25 reports, end inside planes, between
+    # rows, and after whole planes (E8 at 1 would repeat H#H#H at 1,
+    # rendering every body anew)
     monkeypatch.setattr(cli, "CHUNK_REPORTS", chunk)
     catalog = cli.CatalogFile(cli.parse_manifold_spec(manifold), 1, __version__, STAMP)
     text = catalog.to_json_text()
@@ -1033,7 +1038,13 @@ def test_rank_zero_catalog_reads_back_byte_for_byte(tmp_path, capsys, max_abs):
     assert catalog.to_json_text() == text
 
 
-def test_reading_a_catalog_leaves_the_collector_as_it_was():
+def test_reading_a_catalog_leaves_the_collector_as_it_was(monkeypatch):
+    # the read switches the collector off and back on, and freezes nothing
+    def frozen(*args):
+        raise AssertionError("a read froze or thawed the collector's objects")
+
+    monkeypatch.setattr(gc, "freeze", frozen)
+    monkeypatch.setattr(gc, "unfreeze", frozen)
     text = in_memory_catalog(cli.parse_manifold_spec("H"), 1)[0]
     assert gc.isenabled()
     cli.CatalogFile.from_json_text(text)
@@ -1067,9 +1078,9 @@ def test_reading_a_catalog_keeps_a_callers_frozen_objects_frozen():
 
 
 def test_reading_a_long_row_leaves_no_garbage_cycles():
-    # json's indenting encoder leaves a reference cycle per rendered body,
-    # and CP2 renders one per class; the collector must run while the
-    # reports are compared, or all 4,001 cycles (66,000 objects) are kept
+    # the read runs with the collector off, so a reference cycle per
+    # rendered body, as json's indenting encoder leaves, would all be kept:
+    # CP2 renders one body per class, 4,001 cycles and 66,000 objects here
     text = cli.CatalogFile(cli.parse_manifold_spec("CP2"), 2000, __version__, STAMP).to_json_text()
     gc.collect()
     cli.CatalogFile.from_json_text(text)

@@ -873,6 +873,82 @@ def test_pointed_constraint_filters_witnesses():
 
 
 # ---------------------------------------------------------------------------
+# soundness: no refutation fires on a congruent pair
+
+#: Z2-Z6, Z12 and the Laurent ring at ranks 1-4, 40 pairs each: 1,120 pairs.
+SOUNDNESS_CASES = [
+    (ring, m)
+    for ring in [CyclicRing(d) for d in (2, 3, 4, 5, 6, 12)] + [L]
+    for m in range(1, 5)
+]
+SOUNDNESS_PAIRS = 40
+
+
+def _refuted(ring, pairs):
+    """The searches at budget 0, so only the refutations decide, that say ``disproven``."""
+    refuted = []
+    for (a, z), (b, w), _ in pairs:
+        form0, form1 = HermitianForm(ring, a), HermitianForm(ring, b)
+        for out in (
+            congruence_search(form0, form1, budget=0),
+            pointed_congruence_search(
+                PointedHermitianForm(form0, z), PointedHermitianForm(form1, w), budget=0
+            ),
+        ):
+            if out.status == hermitian.SEARCH_DISPROVEN:
+                refuted.append((a, b, out.reason))
+    return refuted
+
+
+@pytest.mark.parametrize("ring, m", SOUNDNESS_CASES, ids=str)
+def test_no_refutation_fires_on_pairs_congruent_along_long_paths(ring, m):
+    # each pair is a random form and point pushed along 8-40 generators,
+    # more than any search here reaches; the first few are re-verified
+    pairs = oracles.congruent_pointed_pairs(0, ring, m, SOUNDNESS_PAIRS)
+    assert len(SOUNDNESS_CASES) * len(pairs) == 1120
+    for (a, z), (b, w), path in pairs[:4]:
+        p = ring_identity(ring, m)
+        for gen in path:
+            p = oracles.apply_generator(gen, p, ring)
+        assert verify_congruence(p, HermitianForm(ring, a), HermitianForm(ring, b))
+        assert ring_mat_vec(p, z, ring) == w
+    assert _refuted(ring, pairs) == []
+
+
+def test_an_unsound_refutation_fails_the_soundness_suite(monkeypatch):
+    monkeypatch.setattr(hermitian, "_determinant_refutation", lambda *forms: "always")
+    ring, m = SOUNDNESS_CASES[0]
+    assert _refuted(ring, oracles.congruent_pointed_pairs(0, ring, m, SOUNDNESS_PAIRS))
+
+
+def _nontrivial_unit_pair(d, rows):
+    """(A, D A D*, D) over Z[Z_d] for D = diag(u, 1), u = -1 + T + T^(d-1)."""
+    ring = CyclicRing(d)
+    u = ring.from_int(-1) + ring.monomial(1) + ring.monomial(d - 1)
+    a = extend_integer_form(rows, ring).matrix
+    diag = ((u, ring.zero()), (ring.zero(), ring.one()))
+    return ring, a, ring_mat_mul(ring_mat_mul(diag, a, ring), conj_transpose(diag), ring), diag
+
+
+@pytest.mark.parametrize("d, rows", [(5, ((1, 0), (0, 1))), (7, H_MATRIX)])
+def test_pairs_congruent_through_a_nontrivial_unit_are_never_disproven(d, rows):
+    # u = -1 + T + T^4 over Z5 and -1 + T + T^6 over Z7 are units of
+    # infinite order, which the search's +-T^k scalings cannot reach
+    ring, a, b, diag = _nontrivial_unit_pair(d, rows)
+    form0, form1 = HermitianForm(ring, a), HermitianForm(ring, b)
+    assert verify_congruence(diag, form0, form1)
+    z0 = (ring.one(), ring.zero())
+    z1 = ring_mat_vec(diag, z0, ring)
+    for out in (
+        congruence_search(form0, form1, budget=200),
+        pointed_congruence_search(
+            PointedHermitianForm(form0, z0), PointedHermitianForm(form1, z1), budget=200
+        ),
+    ):
+        assert out.status in (hermitian.SEARCH_FOUND, hermitian.SEARCH_NOT_FOUND), out
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 
